@@ -20,7 +20,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .freealg import AlgebraElement, Scalar, check_word
+from .freealg import AlgebraElement, Scalar
+
+
+# deepest nesting of "(" and "star(": each level costs the parser four
+# Python frames, so this keeps well inside the recursion limit of 1000
+MAX_NESTING = 100
 
 
 class ExprError(ValueError):
@@ -39,6 +44,7 @@ class _Lexer:
         self.tokens = []
         self._scan()
         self.k = 0
+        self.depth = 0
 
     def _scan(self):
         text = self.text
@@ -167,17 +173,17 @@ def _atom(lx):
     if kind == "gen":
         lx.next()
         return AlgebraElement.from_word((tok[1],))
-    if kind == "(":
+    if kind in ("(", "star"):
         lx.next()
+        if kind == "star":
+            _expect(lx, "(")
+        if lx.depth == MAX_NESTING:
+            raise ExprError("nesting deeper than %d" % MAX_NESTING, tok[2])
+        lx.depth += 1
         value = _expr(lx)
         _expect(lx, ")")
-        return value
-    if kind == "star":
-        lx.next()
-        _expect(lx, "(")
-        value = _expr(lx)
-        _expect(lx, ")")
-        return value.star()
+        lx.depth -= 1
+        return value.star() if kind == "star" else value
     raise ExprError("expected scalar, generator or parenthesis", tok[2])
 
 
@@ -270,9 +276,5 @@ def format_element(a):
     return " + ".join(bits)
 
 
-def element_from_text(text, n):
-    """Parse and validate against the ambient generator count."""
-    elt = parse_element(text, n)
-    for w in elt.terms:
-        check_word(w, n)
-    return elt
+# the lexer already rejects generator indices outside 1..n
+element_from_text = parse_element

@@ -62,10 +62,6 @@ class WeightSystem:
     def custom(cls, n, table):
         return cls(n, table=table)
 
-    @property
-    def is_product(self):
-        return self.mu is not None
-
     def weight(self, i):
         """w(i) for a multi-index i."""
         i = tuple(i)

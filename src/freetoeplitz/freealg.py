@@ -48,16 +48,6 @@ def bar_word(indices):
     return tuple(-int(j) for j in indices)
 
 
-def word_multi_index(word):
-    """Multi-index of an all-theta word.
-
-    Raises ValueError if the word contains a bar letter.
-    """
-    if any(c < 0 for c in word):
-        raise ValueError("word is not holomorphic: %r" % (word,))
-    return tuple(word)
-
-
 def is_holomorphic_word(word):
     return all(c > 0 for c in word)
 
@@ -213,11 +203,7 @@ class AlgebraElement:
             for w, c in terms.items():
                 if not isinstance(c, Scalar):
                     c = Scalar(c)
-                if w in clean:
-                    c = clean[w] + c
-                if c.is_zero():
-                    clean.pop(w, None)
-                else:
+                if not c.is_zero():
                     clean[w] = c
         object.__setattr__(self, "terms", clean)
 
@@ -284,11 +270,8 @@ class AlgebraElement:
             return NotImplemented
         return AlgebraElement({w: t * c for w, t in self.terms.items()})
 
-    def __rmul__(self, other):
-        c = Scalar._coerce(other)
-        if c is None:
-            return NotImplemented
-        return AlgebraElement({w: c * t for w, t in self.terms.items()})
+    # exact scalar products commute
+    __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -323,10 +306,6 @@ class AlgebraElement:
 
 def star(a):
     return a.star()
-
-
-def multiply(a, b):
-    return a * b
 
 
 class FreeAlgebra:

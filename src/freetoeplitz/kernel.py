@@ -1,23 +1,13 @@
-"""Kernel selection: compiled extension when available, else pure Python.
-
-Set FREETOEPLITZ_PURE=1 in the environment to force the pure fallback
-(used by the benchmark and the parity tests).
-"""
+"""Kernel selection: compiled extension when available, else pure Python."""
 
 from __future__ import annotations
 
-import os
-
 from . import _pure
 
-if os.environ.get("FREETOEPLITZ_PURE", "") not in ("", "0"):
+try:
+    from ._speedups import form_factors
+
+    KERNEL_IMPL = "compiled"
+except ImportError:
     form_factors = _pure.form_factors
     KERNEL_IMPL = "pure"
-else:
-    try:
-        from ._speedups import form_factors
-
-        KERNEL_IMPL = "compiled"
-    except ImportError:
-        form_factors = _pure.form_factors
-        KERNEL_IMPL = "pure"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .expr import format_element
+from .expr import format_element, format_scalar, format_word
 from .freealg import AlgebraElement, Scalar, theta_word, word_star
 from .projection import project
 
@@ -82,25 +82,17 @@ class AdjointReport:
 
     def format(self):
         """One violation per line: f1 <TAB> f2 <TAB> lhs <TAB> rhs."""
-        lines = []
-        for v in self.violations:
-            lines.append(
-                "\t".join(
-                    (
-                        format_element(v.f1),
-                        format_element(v.f2),
-                        _scalar_text(v.lhs),
-                        _scalar_text(v.rhs),
-                    )
-                )
-            )
-        return "\n".join(lines)
+        return format_adjoint_violations(self.violations)
 
 
-def _scalar_text(c):
-    from .expr import format_scalar
-
-    return format_scalar(c)
+def format_adjoint_violations(violations):
+    """One line per AdjointViolation, as in AdjointReport.format."""
+    return "\n".join(
+        "%s\t%s\t%s\t%s"
+        % (format_element(v.f1), format_element(v.f2),
+           format_scalar(v.lhs), format_scalar(v.rhs))
+        for v in violations
+    )
 
 
 # small pool of exact coefficients for sampled elements
@@ -118,26 +110,38 @@ _COEFF_POOL = (
 
 def random_holomorphic(rnd, n, max_terms=4, max_len=6):
     """Seeded random element of the holomorphic subalgebra."""
-    terms = {}
-    for _ in range(rnd.randint(1, max_terms)):
-        length = rnd.randint(0, max_len)
-        w = tuple(rnd.randint(1, n) for _ in range(length))
-        c = rnd.choice(_COEFF_POOL)
-        terms[w] = terms.get(w, Scalar(0)) + c
-    return AlgebraElement(terms)
+    return _random_terms(rnd, n, max_terms, max_len, holomorphic=True)
 
 
 def random_element(rnd, n, max_terms=4, max_len=6):
     """Seeded random element of the full algebra."""
+    return _random_terms(rnd, n, max_terms, max_len, holomorphic=False)
+
+
+def _random_terms(rnd, n, max_terms, max_len, holomorphic):
     terms = {}
     for _ in range(rnd.randint(1, max_terms)):
         length = rnd.randint(0, max_len)
+        # the kind of a letter is drawn before its index, never if holomorphic
         w = tuple(
-            rnd.choice((1, -1)) * rnd.randint(1, n) for _ in range(length)
+            (1 if holomorphic else rnd.choice((1, -1))) * rnd.randint(1, n)
+            for _ in range(length)
         )
         c = rnd.choice(_COEFF_POOL)
         terms[w] = terms.get(w, Scalar(0)) + c
     return AlgebraElement(terms)
+
+
+def symmetry_suite(ws, trials, max_len, seed):
+    """Number of sampled pairs (a, b) with conj(<a, b>) != <b, a>."""
+    rnd = random.Random(seed)
+    bad = 0
+    for _ in range(trials):
+        a = random_element(rnd, ws.n, max_len=max_len)
+        b = random_element(rnd, ws.n, max_len=max_len)
+        if ws.form(a, b).conjugate() != ws.form(b, a):
+            bad += 1
+    return bad
 
 
 def check_adjoint(ws, g, trials=500, seed=0):
@@ -160,11 +164,41 @@ def check_adjoint(ws, g, trials=500, seed=0):
     return report
 
 
+def adjoint_suite(ws, trials, max_len, seed):
+    """check_adjoint on one sampled symbol per 50 trials (at least one).
+
+    Each symbol is holomorphic or, with probability 1/2, its star, so
+    every returned violation is a failure of the adjoint theorem.
+    """
+    rnd = random.Random(seed)
+    violations = []
+    for _ in range(max(1, trials // 50)):
+        g = random_holomorphic(rnd, ws.n, max_len=max_len)
+        if rnd.random() < 0.5:
+            g = g.star()
+        report = check_adjoint(ws, g, trials=50, seed=rnd.randint(0, 2**31))
+        violations += report.violations
+    return violations
+
+
+# the two canonical star-compatibility failures, as (prop, f1, f2, g)
+# keys of CompatibilityViolation; both need n >= 2
+COUNTEREXAMPLES = (
+    (1, (1,), (1, 2), (-2, 1, -1)),
+    (2, (1,), (1,), (2, -2)),
+)
+
+
 class CounterexampleValues(NamedTuple):
     ce1_lhs: Fraction
     ce1_rhs: Fraction
     ce2_lhs: Fraction
     ce2_rhs: Fraction
+
+    @property
+    def reproduced(self):
+        """Both identities fail: a nonzero left side against zero."""
+        return bool(self.ce1_lhs and self.ce2_lhs) and not (self.ce1_rhs or self.ce2_rhs)
 
 
 def reproduce_counterexamples(ws):
@@ -176,13 +210,11 @@ def reproduce_counterexamples(ws):
     """
     if ws.n < 2:
         raise ValueError("counterexamples require n >= 2")
-    g1 = (-2, 1, -1)
-    ce1_lhs = ws.form_words((1,), (1, 2) + g1)
-    ce1_rhs = ws.form_words((1,) + word_star(g1), (1, 2))
-    g2 = (2, -2)
-    ce2_lhs = ws.form_words((1,), (1,) + g2)
-    ce2_rhs = ws.form_words((1,) + word_star((1,)), g2)
-    return CounterexampleValues(ce1_lhs, ce1_rhs, ce2_lhs, ce2_rhs)
+    values = []
+    for prop, f1, f2, g in COUNTEREXAMPLES:
+        rhs = (f1 + word_star(g), f2) if prop == 1 else (f1 + word_star(f2), g)
+        values += [ws.form_words(f1, f2 + g), ws.form_words(*rhs)]
+    return CounterexampleValues(*values)
 
 
 @dataclass(frozen=True)
@@ -249,3 +281,28 @@ def check_compatibility(n, max_len, ws):
                         CompatibilityViolation(2, f1, f2, g, lhs, rhs2)
                     )
     return violations
+
+
+def compat_suite(ws, max_len):
+    """check_compatibility with the pass rule of the compat suite.
+
+    Returns (violations, passed, partial).  At n = 1 the suite passes
+    only on an empty list; the identities are false there too, so it
+    fails.  At n >= 2 every canonical counterexample whose words fit in
+    max_len must be found; ``partial`` names those that do not fit, or
+    is empty.
+    """
+    violations = check_compatibility(ws.n, max_len, ws)
+    if ws.n == 1:
+        return violations, not violations, ""
+    found = {(v.prop, v.f1, v.f2, v.g) for v in violations}
+    unreached = [key for key in COUNTEREXAMPLES if max(map(len, key[1:])) > max_len]
+    passed = found.issuperset(key for key in COUNTEREXAMPLES if key not in unreached)
+    partial = " or ".join(
+        "the identity-%d counterexample (f1 = %s, f2 = %s, g = %s)"
+        % (key[0], *map(format_word, key[1:]))
+        for key in unreached
+    )
+    if partial:
+        partial = "partial check: max_len=%d cannot reach %s" % (max_len, partial)
+    return violations, passed, partial

@@ -188,3 +188,52 @@ def test_entry_point_help_subprocess():
     )
     assert proc.returncode == 0
     assert "fta" in proc.stdout
+
+
+def _usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    return exc.value.code, [line for line in err.splitlines() if "error:" in line]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--suite", "compat", "--max-len", "-1"),
+        ("check", "--suite", "symmetry", "--trials", "-5"),
+        ("check", "--suite", "adjoint", "--trials", "0"),
+        ("matrix", "--symbol", "t1", "--degree", "-1"),
+    ],
+)
+def test_out_of_range_flags_exit_2(capsys, argv):
+    code, errors = _usage_error(capsys, *argv)
+    assert code == 2
+    assert len(errors) == 1 and argv[-2] in errors[0]
+
+
+def test_smallest_flag_values_accepted(capsys):
+    code, out = run(capsys, "check", "--suite", "symmetry", "--trials", "1", "--max-len", "0")
+    assert (code, out) == (0, "symmetry: 0 violations in 1 trials (seed 0)\n")
+    code, out = run(capsys, "matrix", "--symbol", "t1", "--degree", "0", "--n", "1")
+    assert (code, out) == (0, "row,col,re,im\n")
+
+
+def test_deep_nesting_exits_2(capsys):
+    code = main(["project", "(" * 3000 + "t1" + ")" * 3000, "--n", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("error:") == 1 and "nesting" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_check_compat_reports_partial_check(capsys):
+    code, out = run(capsys, "check", "--suite", "compat", "--n", "2", "--max-len", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "compat: 24 violations (n=2, max_len=2)"
+    assert len(lines) == 2 and "partial check" in lines[1]
+    assert "g = b2*t1*b1" in lines[1] and "g = t2*b2" not in lines[1]
+    code, out = run(capsys, "check", "--suite", "compat", "--n", "2", "--max-len", "3")
+    assert code == 0
+    assert "partial" not in out and len(out.splitlines()) == 1

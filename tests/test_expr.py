@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from freetoeplitz.expr import (
+    MAX_NESTING,
     ExprError,
     element_from_text,
     format_element,
@@ -113,3 +114,13 @@ def test_element_from_text_validates_indices():
     )
     with pytest.raises(ExprError):
         element_from_text("t9", 2)
+
+
+def test_nesting_limit():
+    assert parse_element("(" * 50 + "t1 + b2" + ")" * 50, 2) == parse_element("t1 + b2", 2)
+    deepest = "star(" * MAX_NESTING + "t1" + ")" * MAX_NESTING
+    assert parse_element(deepest, 1) == AlgebraElement.from_word((1,))
+    for opener in ("(", "star("):
+        text = opener * (MAX_NESTING + 1) + "t1" + ")" * (MAX_NESTING + 1)
+        with pytest.raises(ExprError, match="nesting deeper than %d" % MAX_NESTING):
+            parse_element(text, 1)

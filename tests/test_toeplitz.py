@@ -5,16 +5,22 @@ from fractions import Fraction
 import pytest
 
 from freetoeplitz.freealg import AlgebraElement, Scalar, theta_word, word_star
+from freetoeplitz import toeplitz
 from freetoeplitz.form import WeightSystem
 from freetoeplitz.toeplitz import (
+    CounterexampleValues,
     ToeplitzOperator,
+    adjoint_suite,
     annihilation,
     check_adjoint,
     check_compatibility,
     commutator_apply,
+    compat_suite,
     creation,
+    random_element,
     random_holomorphic,
     reproduce_counterexamples,
+    symmetry_suite,
 )
 
 from conftest import all_words
@@ -169,3 +175,67 @@ def test_check_compatibility_finds_known_counterexamples(ws2):
     }
     assert (1, (1,), (1, 2), (-2, 1, -1)) in found
     assert (2, (1,), (1,), (2, -2)) in found
+
+
+def test_samplers_keep_their_draws():
+    # values of the samplers before they shared one body; the check
+    # suites' seeded output depends on this draw sequence
+    rnd = random.Random(2019)
+    assert random_holomorphic(rnd, 2, max_len=3) == AlgebraElement(
+        {(1,): Scalar(0, -1), (2,): Scalar(2)}
+    )
+    assert random_element(rnd, 2, max_len=3) == AlgebraElement(
+        {(): Scalar(2), (-2, 2): Scalar(-1), (2, -1, -1): Scalar(0, -1)}
+    )
+    assert rnd.randint(0, 999) == 297
+
+
+def test_counterexample_verdict():
+    assert reproduce_counterexamples(WeightSystem.unit(2)).reproduced
+    assert CounterexampleValues(1, 0, 1, 0).reproduced
+    assert not CounterexampleValues(1, 1, 1, 0).reproduced
+    assert not CounterexampleValues(1, 0, 0, 0).reproduced
+
+
+def test_symmetry_and_adjoint_suites(ws23, monkeypatch):
+    assert symmetry_suite(ws23, 30, 4, seed=3) == 0
+    assert adjoint_suite(ws23, 60, 3, seed=3) == []
+    seen = []
+
+    def fake_check(ws, g, trials, seed):
+        seen.append(g)
+        return check_adjoint(ws, g, trials=2, seed=seed)
+
+    # one sampled symbol per 50 trials, at least one
+    monkeypatch.setattr(toeplitz, "check_adjoint", fake_check)
+    for trials, symbols in ((1, 1), (49, 1), (149, 2)):
+        seen.clear()
+        adjoint_suite(ws23, trials, 3, seed=0)
+        assert len(seen) == symbols
+        assert all(g.is_holomorphic() or g.star().is_holomorphic() for g in seen)
+
+
+def test_compat_suite_pass_rule(monkeypatch):
+    ws2 = WeightSystem.unit(2)
+    violations, passed, partial = compat_suite(ws2, 3)
+    assert passed and not partial
+    assert violations == check_compatibility(2, 3, ws2)
+    violations, passed, partial = compat_suite(WeightSystem.unit(1), 3)
+    assert violations and not passed and not partial
+
+    # the suite looks check_compatibility up when it runs; drop one
+    # canonical counterexample at a time and the suite fails
+    real = toeplitz.check_compatibility
+    for key in ((1, (1,), (1, 2), (-2, 1, -1)), (2, (1,), (1,), (2, -2))):
+        def without_key(n, max_len, ws, key=key):
+            return [v for v in real(n, max_len, ws) if (v.prop, v.f1, v.f2, v.g) != key]
+
+        monkeypatch.setattr(toeplitz, "check_compatibility", without_key)
+        assert not compat_suite(ws2, 3)[1]
+    # at max_len 2 only the identity-2 counterexample is in reach, and
+    # the identity-1 one is named as out of reach
+    _, passed, partial = compat_suite(ws2, 2)
+    assert not passed and "identity-1" in partial and "identity-2" not in partial
+    monkeypatch.setattr(toeplitz, "check_compatibility", real)
+    _, passed, partial = compat_suite(ws2, 2)
+    assert passed and "g = b2*t1*b1" in partial
