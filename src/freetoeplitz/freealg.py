@@ -85,11 +85,9 @@ class Decomposition:
         )
 
 
-def decompose(word):
-    """Unique head-run / opposite-run / tail representation of a word."""
-    if not word:
-        raise ValueError("cannot decompose identity")
-    s = 1 if word[0] > 0 else -1
+def run_ends(word):
+    """Ends of the leading run of a word and of the opposite run after it."""
+    s = 1 if word and word[0] > 0 else -1
     m = len(word)
     p = 0
     while p < m and word[p] * s > 0:
@@ -97,6 +95,15 @@ def decompose(word):
     q = p
     while q < m and word[q] * s < 0:
         q += 1
+    return p, q
+
+
+def decompose(word):
+    """Unique head-run / opposite-run / tail representation of a word."""
+    if not word:
+        raise ValueError("cannot decompose identity")
+    s = 1 if word[0] > 0 else -1
+    p, q = run_ends(word)
     head = tuple(word[t] * s for t in range(p))
     mid = tuple(-word[t] * s for t in range(p, q))
     return Decomposition(

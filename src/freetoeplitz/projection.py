@@ -1,11 +1,12 @@
 """Projection of the free *-algebra onto its holomorphic subalgebra.
 
-``project_word`` uses the closed form: for a theta-initial word with run
-decomposition (k, l, tail) the expansion over the orthonormal basis has
-at most one surviving candidate, the prefix of k left over after the
-reversed mid-run l is peeled off its end.  ``project_oracle`` evaluates
-the defining basis sum by brute force and exists purely as an
-independent cross-check.
+``project_word`` uses the closed form: a word pairs nonzero with at most
+one holomorphic word, its ``partner``, so the expansion over the
+orthonormal basis has at most one surviving candidate.  For a
+theta-initial word with run decomposition (k, l, tail) that is the
+prefix of k left over after the reversed mid-run l is peeled off its
+end.  ``project_oracle`` evaluates the defining basis sum by brute force
+and exists purely as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -13,30 +14,50 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .freealg import AlgebraElement, Scalar, decompose, theta_word
+from .freealg import AlgebraElement, Scalar, run_ends, swap_alphabet, theta_word, word_star
+
+
+def partner(h):
+    """The only holomorphic word that can pair nonzero with the word h.
+
+    The empty word when h is empty or bar-initial.  Otherwise, with head
+    run k and mid run l as in ``decompose``, the prefix k[:len(k) - len(l)]
+    when k ends with reversed l, and None (no partner) when it does not.
+    """
+    if not h or h[0] < 0:
+        return ()
+    t, q = run_ends(h)
+    i = 2 * t - q
+    if i < 0 or h[i:t] != word_star(h[t:q]):
+        return None
+    return h[:i]
+
+
+def glue_partner(f1, g):
+    """The only holomorphic word f2 for which <f1 f2*, g> can be nonzero.
+
+    None when there is none.  The kernel's first gluing step fixes f2: for
+    g empty or theta-initial, with head run k and mid run l,
+    f1 + rev(l) = k + f2 (for f1 empty that gives f2 = () whenever
+    <(), g> is nonzero); for g bar-initial, f1 is empty and rev(f2) is
+    the partner of g with its letter kinds swapped.
+    """
+    if g and g[0] < 0:
+        f2 = None if f1 else partner(swap_alphabet(g))
+        return None if f2 is None else f2[::-1]
+    t, q = run_ends(g)
+    glued = f1 + word_star(g[t:q])
+    return glued[t:] if glued[:t] == g[:t] else None
 
 
 def project_word(ws, g):
     """Projection of a single word, as a canonical element."""
     g = tuple(g)
-    if not g:
-        return AlgebraElement.one()
-    if g[0] < 0:
-        c = ws.form_words((), g)
-        if not c:
-            return AlgebraElement.zero()
-        return AlgebraElement.from_word((), Scalar(c))
-    d = decompose(g)
-    k, l = d.head, d.mid
-    t, u = len(k), len(l)
-    if t < u or k[t - u:] != tuple(reversed(l)):
-        return AlgebraElement.zero()
-    i = k[: t - u]
-    c = ws.form_words((), d.tail)
+    i = partner(g)
+    c = ws.form_words(i, g) if i is not None else 0
     if not c:
         return AlgebraElement.zero()
-    coeff = ws.weight(k) / ws.weight(i) * c
-    return AlgebraElement.from_word(theta_word(i), Scalar(coeff))
+    return AlgebraElement.from_word(i, Scalar(c / ws.weight(i)))
 
 
 def project(ws, a):

@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .expr import format_element, format_scalar, format_word
-from .freealg import AlgebraElement, Scalar, theta_word, word_star
-from .projection import project
+from .freealg import AlgebraElement, Scalar, word_star
+from .projection import glue_partner, partner, project
 
 
 class ToeplitzOperator:
@@ -234,52 +234,47 @@ class CompatibilityViolation:
     rhs: Fraction
 
 
-def _balance(word):
-    return sum(1 if c > 0 else -1 for c in word)
-
-
 def check_compatibility(n, max_len, ws):
-    """Exhaustively test both identities on all words within max_len.
+    """Both identities on every triple within max_len, through candidates.
 
-    A word pairing is nonzero only when the theta-excess of both sides
-    matches, which for the triples here means len(f1) = len(f2) +
-    balance(g); triples outside that class have every side zero and are
-    skipped.
+    f1 and f2 range over the holomorphic words and g over all words of
+    length at most max_len, with len(f1) = len(f2) + balance(g): outside
+    that class every side pairs to zero.  Each side pairs nonzero for at
+    most one pair per (holomorphic word, g), so only those candidate
+    pairs are evaluated, and every violation is among them:
+
+    <f1, f2 g> fixes f1 = partner(f2 g); <f1 g*, f2> fixes
+    f2 = partner(f1 g*), as word pairings are real and symmetric; and
+    <f1 f2*, g> fixes f2 = glue_partner(f1, g).
     """
-    holo = [
-        theta_word(i)
-        for r in range(max_len + 1)
-        for i in itertools.product(range(1, n + 1), repeat=r)
-    ]
     letters = [c for j in range(1, n + 1) for c in (j, -j)]
     words = [
         w
         for r in range(max_len + 1)
         for w in itertools.product(letters, repeat=r)
     ]
-    by_len = {}
-    for f in holo:
-        by_len.setdefault(len(f), []).append(f)
+    holo = [w for w in words if all(c > 0 for c in w)]
     violations = []
     for g in words:
-        bal = _balance(g)
+        bal = sum(1 if c > 0 else -1 for c in g)
         gs = word_star(g)
-        for f2 in holo:
-            f1s = by_len.get(len(f2) + bal)
-            if not f1s:
+        pairs = set()
+        for f in holo:
+            candidates = (
+                (partner(f + g), f), (f, partner(f + gs)), (f, glue_partner(f, g))
+            )
+            pairs.update(p for p in candidates if None not in p)
+        # violations come ordered by g, then f2, then f1
+        for f1, f2 in sorted(pairs, key=lambda p: (len(p[1]), p[1], p[0])):
+            if len(f1) != len(f2) + bal or max(len(f1), len(f2)) > max_len:
                 continue
-            for f1 in f1s:
-                lhs = ws.form_words(f1, f2 + g)
-                rhs1 = ws.form_words(f1 + gs, f2)
-                if lhs != rhs1:
-                    violations.append(
-                        CompatibilityViolation(1, f1, f2, g, lhs, rhs1)
-                    )
-                rhs2 = ws.form_words(f1 + word_star(f2), g)
-                if lhs != rhs2:
-                    violations.append(
-                        CompatibilityViolation(2, f1, f2, g, lhs, rhs2)
-                    )
+            lhs = ws.form_words(f1, f2 + g)
+            rhs1 = ws.form_words(f1 + gs, f2)
+            if lhs != rhs1:
+                violations.append(CompatibilityViolation(1, f1, f2, g, lhs, rhs1))
+            rhs2 = ws.form_words(f1 + word_star(f2), g)
+            if lhs != rhs2:
+                violations.append(CompatibilityViolation(2, f1, f2, g, lhs, rhs2))
     return violations
 
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from freetoeplitz.form import WeightSystem
+from freetoeplitz.freealg import word_star
 
 
 @pytest.fixture
@@ -27,3 +28,31 @@ def random_word(rnd: random.Random, n, max_len, holomorphic=False):
     if holomorphic:
         return tuple(rnd.randint(1, n) for _ in range(length))
     return tuple(rnd.choice((1, -1)) * rnd.randint(1, n) for _ in range(length))
+
+
+def compat_enumeration(n, max_len, ws, prune):
+    """Brute-force violations of both star-compatibility identities.
+
+    Pairs every holomorphic f1 with every holomorphic f2 and word g of
+    length at most max_len, as (prop, f1, f2, g, lhs, rhs) tuples; the
+    oracle for ``toeplitz.check_compatibility``.  With ``prune`` only
+    triples with len(f1) = len(f2) + balance(g) are paired, the class
+    outside which every side is zero.
+    """
+    holo = [w for w in all_words(n, max_len) if all(c > 0 for c in w)]
+    out = set()
+    for g in all_words(n, max_len):
+        bal = sum(1 if c > 0 else -1 for c in g)
+        gs = word_star(g)
+        for f2 in holo:
+            for f1 in holo:
+                if prune and len(f1) != len(f2) + bal:
+                    continue
+                lhs = ws.form_words(f1, f2 + g)
+                rhs1 = ws.form_words(f1 + gs, f2)
+                rhs2 = ws.form_words(f1 + word_star(f2), g)
+                if lhs != rhs1:
+                    out.add((1, f1, f2, g, lhs, rhs1))
+                if lhs != rhs2:
+                    out.add((2, f1, f2, g, lhs, rhs2))
+    return out

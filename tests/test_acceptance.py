@@ -6,7 +6,7 @@ at f1 = t1, f2 = 1, g = t1*b1*t1 with 0 against w(1)^2; identity 2,
 <f1, f2 g> = <f1 f2*, g>, fails already at f1 = t1, f2 = t1*t1, g = b1
 with w(1,1) against 0.  The criterion asserts both witnesses and their
 values, that the identity-1 failures are Toeplitz adjoint failures, and
-that the checker's pruning drops no violation.
+that the candidate-driven checker drops no violation.
 """
 
 import itertools
@@ -42,7 +42,7 @@ from freetoeplitz.toeplitz import (
     reproduce_counterexamples,
 )
 
-from conftest import all_words, random_word
+from conftest import all_words, compat_enumeration, random_word
 
 
 def report(num, ok, detail=""):
@@ -200,28 +200,6 @@ def test_criterion_07_matrix_adjointness():
     )
 
 
-def _compat_unpruned(n, max_len, ws):
-    """Violations of both identities over every (f1, f2, g) within max_len.
-
-    Unlike ``check_compatibility`` nothing is skipped by theta-balance,
-    so equal results show that the pruning drops no violation.
-    """
-    holo = [w for w in all_words(n, max_len) if all(c > 0 for c in w)]
-    out = set()
-    for g in all_words(n, max_len):
-        gs = word_star(g)
-        for f2 in holo:
-            for f1 in holo:
-                lhs = ws.form_words(f1, f2 + g)
-                rhs1 = ws.form_words(f1 + gs, f2)
-                rhs2 = ws.form_words(f1 + word_star(f2), g)
-                if lhs != rhs1:
-                    out.add((1, f1, f2, g, lhs, rhs1))
-                if lhs != rhs2:
-                    out.add((2, f1, f2, g, lhs, rhs2))
-    return out
-
-
 def test_criterion_08_n1_conjecture_evidence():
     t0 = time.time()
     v2 = check_compatibility(2, 5, WeightSystem.unit(2))
@@ -268,20 +246,20 @@ def test_criterion_08_n1_conjecture_evidence():
         if not (mixed and exact and lhs != rhs):
             adjoint_route = False
 
-    # the theta-balance pruning misses nothing
-    pruned = {
+    # the candidate-driven checker misses nothing
+    checked = {
         (v.prop, v.f1, v.f2, v.g, v.lhs, v.rhs)
         for v in check_compatibility(1, 4, ws1)
     }
-    unpruned = _compat_unpruned(1, 4, ws1)
-    pruning = pruned == unpruned and len(unpruned) == 31
+    unpruned = compat_enumeration(1, 4, ws1, prune=False)
+    matches_oracle = checked == unpruned and len(unpruned) == 31
 
     elapsed = time.time() - t0
     detail = (
         "n=2 contains known counterexamples: %s; n=1 violations: %d "
         "(%d of identity 1, all confirmed as adjoint failures: %s); "
         "witnesses t1*b1*t1 and b1 exact: %s; none shorter for identity 1: "
-        "%s; pruned = unpruned at max_len 4: %s, %.1fs"
+        "%s; checker = unpruned enumeration at max_len 4: %s, %.1fs"
         % (
             has_known,
             len(v1),
@@ -289,11 +267,11 @@ def test_criterion_08_n1_conjecture_evidence():
             adjoint_route,
             witnesses,
             shortest,
-            pruning,
+            matches_oracle,
             elapsed,
         )
     )
-    ok = has_known and witnesses and shortest and adjoint_route and pruning
+    ok = has_known and witnesses and shortest and adjoint_route and matches_oracle
     report(8, ok and elapsed < 120, detail)
 
 

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freetoeplitz.cli import main
 
@@ -237,3 +240,84 @@ def test_check_compat_reports_partial_check(capsys):
     code, out = run(capsys, "check", "--suite", "compat", "--n", "2", "--max-len", "3")
     assert code == 0
     assert "partial" not in out and len(out.splitlines()) == 1
+
+
+# A small grammar of fta command lines.  Expressions have at most three
+# leaves, and a power only at the top with exponent at most 3, and
+# --n, --max-len and --degree stay at most 3, so every case is cheap;
+# inputs known to take unbounded time, such as t1^999999999, are never
+# drawn.  Leaves and flag values include malformed ones.
+_LEAF = st.one_of(
+    st.builds("{}{}".format, st.sampled_from("tb"), st.integers(0, 4)),
+    st.sampled_from(["1", "-1", "0", "1/2", "2/3", "i", "(1/2)i", "1/0"]),
+    st.sampled_from(["", "t", "(", ")", "^", "star(", "q", "1/", "*"]),
+)
+_BASE = st.recursive(
+    _LEAF,
+    lambda inner: st.one_of(
+        st.builds("{}{}{}".format, inner, st.sampled_from("+-*"), inner),
+        st.builds("star({})".format, inner),
+        st.builds("({})".format, inner),
+    ),
+    max_leaves=3,
+)
+_EXPR = st.one_of(_BASE, st.builds("({})^{}".format, _BASE, st.integers(0, 3)))
+_SMALL = st.integers(-1, 3).map(str)
+
+
+def _flag(name, *values):
+    return st.tuples(st.just(name), st.sampled_from(values))
+
+
+_COMMON = st.one_of(
+    st.tuples(st.just("--n"), _SMALL),
+    _flag("--mu", "1", "2,3", "1/2,5/3,2", "0,1", "x", "-1,2"),
+    _flag("--weights", "."),
+    st.just(("--help",)),
+)
+
+
+def _command(name, *parts):
+    """The subcommand, its parts in order, then up to three common flags."""
+    return st.tuples(*parts, st.lists(_COMMON, max_size=3)).map(
+        lambda c: [name] + [a for part in c[:-1] + tuple(c[-1]) for a in part]
+    )
+
+
+_SYMBOL = _EXPR.map("--symbol={}".format)
+_ARGV = st.one_of(
+    _command("form", st.tuples(_EXPR, _EXPR)),
+    _command("project", st.tuples(_EXPR)),
+    _command("toeplitz", st.tuples(_SYMBOL, _EXPR.map("--arg={}".format))),
+    _command(
+        "matrix",
+        st.tuples(_SYMBOL, st.just("--degree"), _SMALL),
+        _flag("--format", "csv", "json", "xml"),
+    ),
+    _command(
+        "check",
+        _flag("--suite", "symmetry", "adjoint", "compat", "counterexamples", "nope"),
+        st.tuples(st.just("--max-len"), _SMALL),
+        st.tuples(st.just("--trials"), st.integers(0, 20).map(str)),
+        st.tuples(st.just("--seed"), st.integers(-2, 2).map(str)),
+    ),
+    _command(
+        "scan",
+        st.tuples(_EXPR),
+        _flag("--algorithm", "left-right", "random", "other"),
+        _flag("--p", "0", "0.5", "1", "2", "-1", "nan", "x"),
+        st.sampled_from([(), ("--trace",)]),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_ARGV)
+def test_fuzz_main_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse: usage errors and --help
+            code = e.code
+    assert code in (0, 1, 2), argv

@@ -2,9 +2,16 @@ import itertools
 import random
 from fractions import Fraction
 
-from freetoeplitz.freealg import AlgebraElement, Scalar, theta_word
+from freetoeplitz.freealg import AlgebraElement, Scalar, theta_word, word_star
 from freetoeplitz.form import WeightSystem
-from freetoeplitz.projection import project, project_oracle, project_word
+from freetoeplitz.kernel import form_factors
+from freetoeplitz.projection import (
+    glue_partner,
+    partner,
+    project,
+    project_oracle,
+    project_word,
+)
 
 from conftest import all_words
 
@@ -86,3 +93,28 @@ def test_single_candidate(ws2):
     for w in all_words(2, 5):
         p = project_word(ws2, w)
         assert len(p.terms) <= 1
+
+
+def test_partner_is_the_only_candidate():
+    # no holomorphic word of length <= len(h) but partner(h) pairs
+    # nonzero with h, nor any f2 but glue_partner(f1, g) in <f1 f2*, g>;
+    # the second within the domain of check_compatibility at max_len 4.
+    # A pairing is nonzero exactly when the kernel finds weight factors.
+    holo = [w for w in all_words(2, 6) if all(c > 0 for c in w)]
+    hits = 0
+    for h in all_words(2, 6):
+        nonzero = {f for f in holo if len(f) <= len(h) and form_factors(f, h) is not None}
+        assert nonzero <= {partner(h)}, h
+        hits += len(nonzero)
+    short = [f for f in holo if len(f) <= 4]
+    glue_hits = 0
+    for g in all_words(2, 4):
+        for f1 in short:
+            nonzero = {
+                f2 for f2 in short if form_factors(f1 + word_star(f2), g) is not None
+            }
+            assert nonzero <= {glue_partner(f1, g)}, (f1, g)
+            glue_hits += len(nonzero)
+    # not vacuous: 319 words to length 6 pair nonzero with a holomorphic
+    # word, and 711 pairs (f1, f2) give a nonzero <f1 f2*, g> at max_len 4
+    assert (hits, glue_hits) == (319, 711)

@@ -23,7 +23,7 @@ from freetoeplitz.toeplitz import (
     symmetry_suite,
 )
 
-from conftest import all_words
+from conftest import all_words, compat_enumeration
 
 
 def w(word):
@@ -175,6 +175,20 @@ def test_check_compatibility_finds_known_counterexamples(ws2):
     }
     assert (1, (1,), (1, 2), (-2, 1, -1)) in found
     assert (2, (1,), (1,), (2, -2)) in found
+
+
+def test_candidate_checker_matches_enumeration():
+    # unpruned: every (f1, f2, g); pruned: only the theta-balanced ones
+    cases = [(1, L, (1,), False) for L in range(7)]
+    cases += [(2, L, mu, False) for L in range(4) for mu in ((1, 1), (2, 3))]
+    cases += [(2, 4, (1, 1), True), (2, 4, (2, 3), True), (3, 2, (1, 2, 5), True)]
+    for n, max_len, mu, prune in cases:
+        ws = WeightSystem(n, mu=mu)
+        checked = {
+            (v.prop, v.f1, v.f2, v.g, v.lhs, v.rhs)
+            for v in check_compatibility(n, max_len, ws)
+        }
+        assert checked == compat_enumeration(n, max_len, ws, prune), (n, max_len, mu)
 
 
 def test_samplers_keep_their_draws():
