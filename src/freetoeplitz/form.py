@@ -1,7 +1,7 @@
 """Weight systems and the recursive sesquilinear form.
 
 The pairing of two words is either zero or a product of weights of
-multi-indices (see the kernel modules); a ``WeightSystem`` turns those
+multi-indices (see ``freetoeplitz.kernel``); a ``WeightSystem`` turns those
 factor lists into exact positive rationals.  The sesquilinear extension
 to general elements is anti-linear in the first slot and linear in the
 second.

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -144,6 +145,58 @@ def test_recursion_depth_bound(ws2):
             factors = form_factors(f, g)
             if factors is not None:
                 assert len(factors) <= len(f) + len(g) + 1
+
+
+def _pinned_pairs():
+    """The word pairs pinned by test_form_factors_pinned, as three sets."""
+    letters = (1, -1, 2, -2)
+    words = [w for r in range(4) for w in itertools.product(letters, repeat=r)]
+    short = [(f, g) for f in words for g in words]
+    rnd = random.Random(99)
+    long_ = []
+    for _ in range(20000):
+        f = tuple(
+            rnd.choice((1, -1)) * rnd.randint(1, 3)
+            for _ in range(rnd.randint(0, 12))
+        )
+        g = tuple(
+            rnd.choice((1, -1)) * rnd.randint(1, 3)
+            for _ in range(rnd.randint(0, 12))
+        )
+        long_.append((f, g))
+    # mirror-heavy words exercise every branch of the run scan
+    cases = [
+        (),
+        (1,),
+        (-1,),
+        (1, -1),
+        (-1, 1),
+        (1, 2, -2, -1),
+        (1, 2, -2, -1, 1, -1),
+        (-1, -2, 2, 1),
+        (1, 1, -1, -1, 2, -2),
+    ]
+    mirror = [(f, g) for f in cases for g in cases]
+    return {"short": short, "random": long_, "mirror": mirror}
+
+
+# sha256 of repr of the factor lists and the count of nonzero pairings,
+# recorded from the kernel before its compiled twin was deleted
+PINNED = {
+    "short": ("3b1bebf77eb74af4d509fb96bcbca989f31473a558c14e9d7b7aee09bddf7fd0", 109),
+    "random": ("fca43a092983259fd6ad0ff60a8e2bb0118db814d09ddada5ecfd68e672e7d4f", 211),
+    "mirror": ("5a371bccddbfe49a571c9cb012156647df161f672f0a74f8d1097389a7bbb4e9", 25),
+}
+
+
+def test_form_factors_pinned():
+    from freetoeplitz.kernel import form_factors
+
+    for name, pairs in _pinned_pairs().items():
+        results = [form_factors(f, g) for f, g in pairs]
+        digest = hashlib.sha256(repr(results).encode()).hexdigest()
+        nonzero = sum(r is not None for r in results)
+        assert (digest, nonzero) == PINNED[name], name
 
 
 def test_parse_rational():
