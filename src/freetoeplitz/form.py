@@ -9,12 +9,10 @@ second.
 
 from __future__ import annotations
 
-import math
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .freealg import AlgebraElement, Scalar, theta_word
+from .freealg import Scalar
 from .kernel import form_factors
 
 
@@ -39,6 +37,7 @@ class WeightSystem:
                 raise ValueError("weight parameters must be positive")
             self.mu = mu
             self.table = None
+            self._memo = {}
         else:
             tbl = {}
             for idx, val in table.items():
@@ -51,10 +50,6 @@ class WeightSystem:
             self.table = tbl
 
     @classmethod
-    def product(cls, mu):
-        return cls(len(tuple(mu)), mu=mu)
-
-    @classmethod
     def unit(cls, n):
         return cls(n, mu=(1,) * n)
 
@@ -63,32 +58,32 @@ class WeightSystem:
         return cls(n, table=table)
 
     def weight(self, i):
-        """w(i) for a multi-index i."""
+        """w(i) for a multi-index i; product weights are memoised per index."""
         i = tuple(i)
         if self.mu is not None:
-            out = Fraction(1)
-            for j in i:
-                if not 1 <= j <= self.n:
-                    raise ValueError("multi-index entry out of range: %d" % j)
-                out *= self.mu[j - 1]
+            out = self._memo.get(i)
+            if out is None:
+                out = Fraction(1)
+                for j in i:
+                    if not 1 <= j <= self.n:
+                        raise ValueError("multi-index entry out of range: %d" % j)
+                    out *= self.mu[j - 1]
+                self._memo[i] = out
             return out
         try:
             return self.table[i]
         except KeyError:
             raise ValueError("weight undefined for multi-index %r" % (i,)) from None
 
-    def _factor_value(self, factors):
-        out = Fraction(1)
-        for i in factors:
-            out *= self.weight(i)
-        return out
-
     def form_words(self, f, g):
         """Pairing of two words; always a nonnegative rational."""
         factors = form_factors(tuple(f), tuple(g))
         if factors is None:
             return Fraction(0)
-        return self._factor_value(factors)
+        out = Fraction(1)
+        for i in factors:
+            out *= self.weight(i)
+        return out
 
     def form(self, a, b):
         """Sesquilinear extension: anti-linear in a, linear in b."""
@@ -100,49 +95,6 @@ class WeightSystem:
                 if v:
                     out = out + cac * cb * Scalar(v)
         return out
-
-    def normalized_basis_word(self, i):
-        """Orthonormal basis member for the multi-index i.
-
-        When 1/w(i) has an exact rational square root the returned
-        element carries it as coefficient and ``exact`` is True;
-        otherwise the element is the unnormalized word and the weight is
-        reported for downstream float normalization.
-        """
-        i = tuple(i)
-        w = self.weight(i)
-        root = _rational_sqrt(w)
-        word = theta_word(i)
-        if root is not None:
-            return NormalizedWord(
-                multi_index=i,
-                element=AlgebraElement.from_word(word, Scalar(1 / root)),
-                weight=w,
-                exact=True,
-            )
-        return NormalizedWord(
-            multi_index=i,
-            element=AlgebraElement.from_word(word),
-            weight=w,
-            exact=False,
-        )
-
-
-@dataclass(frozen=True)
-class NormalizedWord:
-    multi_index: tuple
-    element: AlgebraElement
-    weight: Fraction
-    exact: bool
-
-
-def _rational_sqrt(x):
-    """Exact square root of a positive rational, or None."""
-    pn = math.isqrt(x.numerator)
-    pd = math.isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        return Fraction(pn, pd)
-    return None
 
 
 _RATIONAL_RE = _re.compile(r"^\s*(\d+)\s*(?:/\s*(\d+))?\s*$")

@@ -3,7 +3,7 @@
 The degree-<=L truncation of the holomorphic space is spanned by the
 multi-indices in graded-lex order; matrix entries are exact form values
 in the orthonormal basis, with the square roots (and only those) taken
-in floating point at the very end.
+in floating point at the very end.  Only nonzero entries are stored.
 """
 
 from __future__ import annotations
@@ -44,13 +44,46 @@ class TruncatedSpace:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
+    """A truncated operator matrix, stored as its nonzero entries.
+
+    ``rows``, ``cols`` and ``values`` hold each nonzero once, sorted
+    row-major as ``np.nonzero`` lists them; a symbol with m terms gives at
+    most m nonzeros per column.
+    """
+
     space: TruncatedSpace
     symbol_text: str
-    entries: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
     @property
     def dim(self):
-        return self.entries.shape[0]
+        return self.space.dim
+
+    @property
+    def entries(self):
+        """The dense dim x dim complex array, built anew on each access."""
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out[self.rows, self.cols] = self.values
+        return out
+
+
+def _sparse(space, symbol_text, keys, values):
+    """Matrix from terms at flat positions row * dim + col.
+
+    Terms sharing a position are summed in their input order, and exact
+    zeros are dropped.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    sums = np.add.reduceat(values, starts) if len(starts) else values
+    keep = sums != 0
+    rows, cols = np.divmod(keys[starts][keep], space.dim)
+    return OperatorMatrix(space, symbol_text, rows, cols, sums[keep])
 
 
 def matrix_of(ws, g, space):
@@ -61,46 +94,56 @@ def matrix_of(ws, g, space):
     """
     op = ToeplitzOperator(g, ws)
     dim = space.dim
-    entries = np.zeros((dim, dim), dtype=complex)
     weights = [float(ws.weight(i)) for i in space.basis]
+    keys, values = [], []
     for col, k in enumerate(space.basis):
         image = op.apply(AlgebraElement.from_word(theta_word(k)))
         for w, c in image.items():
             row = space.index.get(w)
             if row is None:
                 continue
-            entries[row, col] = complex(c) * math.sqrt(
-                weights[row] / weights[col]
-            )
-    return OperatorMatrix(
-        space=space, symbol_text=format_element(g), entries=entries
-    )
+            keys.append(row * dim + col)
+            values.append(complex(c) * math.sqrt(weights[row] / weights[col]))
+    keys, values = np.array(keys, dtype=np.intp), np.array(values, dtype=complex)
+    return _sparse(space, format_element(g), keys, values)
 
 
 def adjoint_defect(ws, g, space):
     """Max-abs deviation of the matrix of g* from the conjugate transpose."""
     m = matrix_of(ws, g, space)
     ms = matrix_of(ws, g.star(), space)
-    diff = m.entries - ms.entries.conj().T
-    return float(np.abs(diff).max()) if diff.size else 0.0
+    # m - ms^H on the union of the two patterns; both are 0 elsewhere
+    keys = np.concatenate((m.rows * m.dim + m.cols, ms.cols * m.dim + ms.rows))
+    diff = _sparse(space, "", keys, np.concatenate((m.values, -ms.values.conj())))
+    return float(np.abs(diff.values).max()) if diff.values.size else 0.0
+
+
+def _product_terms(x, y):
+    """Flat positions and values of every term x[r, k] * y[k, c], unsummed."""
+    order = np.argsort(x.cols, kind="stable")
+    xcols = x.cols[order]
+    start = np.searchsorted(xcols, y.rows, "left")
+    count = np.searchsorted(xcols, y.rows, "right") - start
+    # each entry of y meets the run of x's entries in the column of its row
+    run = np.repeat(start - np.cumsum(count) + count, count)
+    xi = order[run + np.arange(count.sum())]
+    keys = x.rows[xi] * x.dim + np.repeat(y.cols, count)
+    return keys, x.values[xi] * np.repeat(y.values, count)
 
 
 def commutator_matrix(m1, m2):
     if m1.dim != m2.dim:
         raise ValueError("dimension mismatch: %d vs %d" % (m1.dim, m2.dim))
-    entries = m1.entries @ m2.entries - m2.entries @ m1.entries
-    return OperatorMatrix(
-        space=m1.space,
-        symbol_text="[%s, %s]" % (m1.symbol_text, m2.symbol_text),
-        entries=entries,
-    )
+    k12, v12 = _product_terms(m1, m2)
+    k21, v21 = _product_terms(m2, m1)
+    keys, values = np.concatenate((k12, k21)), np.concatenate((v12, -v21))
+    text = "[%s, %s]" % (m1.symbol_text, m2.symbol_text)
+    return _sparse(m1.space, text, keys, values)
 
 
 def _nonzero_entries(m):
-    rows, cols = np.nonzero(m.entries)
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        v = m.entries[r, c]
-        yield r, c, v.real, v.imag
+    v = m.values
+    return zip(m.rows.tolist(), m.cols.tolist(), v.real.tolist(), v.imag.tolist())
 
 
 def to_csv(m):

@@ -70,19 +70,24 @@ def project(ws, a):
     return out
 
 
-def project_oracle(ws, g, slack=0):
-    """Brute-force expansion over all candidate multi-indices.
+def project_oracle(ws, g, slack=None):
+    """Brute-force sum of (<theta_i, g> / w(i)) * theta_i over multi-indices i.
 
-    Enumerates every multi-index of length up to len(g) + slack and
-    accumulates (<theta_i, g> / w(i)) * theta_i; candidates longer than
-    the word itself always pair to zero because the pairing consumes at
-    least one letter of g per factor entry, so slack=0 is exhaustive.
-    Exponential in len(g); use only at desk scale.
+    A pairing preserves theta-balance (t letters minus b letters), so by
+    default only the i of length balance(g) are enumerated.  ``slack``
+    sweeps every length up to len(g) + slack instead, checking that rule
+    rather than leaning on it; slack=0 is already exhaustive, since the
+    pairing consumes a letter of g per entry of i.  Exponential in len(g).
     """
     g = tuple(g)
+    if slack is None:
+        bal = sum(1 if c > 0 else -1 for c in g)
+        lengths = [bal] if bal >= 0 else []
+    else:
+        lengths = range(len(g) + slack + 1)
     out = AlgebraElement.zero()
     n = ws.n
-    for r in range(len(g) + slack + 1):
+    for r in lengths:
         for i in itertools.product(range(1, n + 1), repeat=r):
             v = ws.form_words(theta_word(i), g)
             if v:

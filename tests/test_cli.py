@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freetoeplitz.cli import main
+from freetoeplitz.matrixrep import OperatorMatrix
 
 
 def run(capsys, *argv):
@@ -56,6 +57,20 @@ def test_matrix_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "row,col,re,im"
     assert len(lines) == 2
+
+
+def test_matrix_export_builds_no_dense_array(capsys, monkeypatch):
+    argv = ["matrix", "--symbol=b1*t2 + t1 + 1/2*b2", "--degree", "8"]
+    argv += ["--n", "2", "--mu", "2,3"]
+    want = {fmt: run(capsys, *argv, "--format", fmt) for fmt in ("csv", "json")}
+
+    def dense(self):
+        raise AssertionError("dense view of %s built" % self.symbol_text)
+
+    monkeypatch.setattr(OperatorMatrix, "entries", property(dense))
+    for fmt, (code, out) in want.items():
+        assert code == 0 and len(out) > 10000
+        assert run(capsys, *argv, "--format", fmt) == (code, out)
 
 
 def test_matrix_json_to_file(tmp_path, capsys):

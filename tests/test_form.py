@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,30 @@ def test_weight_product_mode():
     ws = WeightSystem(2, mu=(2, 3))
     assert ws.weight((1, 2, 1)) == 12
     assert ws.weight(()) == 1
+
+
+@pytest.mark.parametrize("mu", [(2, 3), (Fraction(1, 2), Fraction(5, 3))])
+def test_weight_memo_matches_plain_product(mu):
+    ws = WeightSystem(2, mu=mu)
+    for r in range(7):
+        for i in itertools.product((1, 2), repeat=r):
+            want = math.prod((Fraction(mu[j - 1]) for j in i), start=Fraction(1))
+            # the second call reads the memo
+            assert ws.weight(i) == want
+            assert ws.weight(list(i)) == want
+
+
+def test_weight_memo_long_index():
+    ws = WeightSystem(2, mu=(2, 3))
+    assert ws.weight((1, 2) * 2500) == Fraction(6) ** 2500
+
+
+def test_weight_out_of_range_never_cached():
+    ws = WeightSystem(2, mu=(2, 3))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="out of range: 3"):
+            ws.weight((1, 3))
+    assert ws.weight((1, 2)) == 6
 
 
 def test_weight_custom_mode():
@@ -116,23 +141,6 @@ def test_star_shift_for_holomorphic_symbols(ws23):
         lhs = ws23.form_words(f1, f2 + g)
         rhs = ws23.form_words(f1 + word_star(g), f2)
         assert lhs == rhs
-
-
-def test_normalized_basis_word():
-    ws = WeightSystem(2, mu=(1, 1))
-    nb = ws.normalized_basis_word((1, 2))
-    assert nb.exact and nb.element == AlgebraElement.from_word((1, 2))
-
-    ws = WeightSystem(2, mu=(4, 9))
-    nb = ws.normalized_basis_word((1, 2))
-    assert nb.exact
-    assert nb.element == Scalar(Fraction(1, 6)) * AlgebraElement.from_word((1, 2))
-
-    ws = WeightSystem(2, mu=(2, 1))
-    nb = ws.normalized_basis_word((1,))
-    assert not nb.exact
-    assert nb.element == AlgebraElement.from_word((1,))
-    assert nb.weight == 2
 
 
 def test_recursion_depth_bound(ws2):

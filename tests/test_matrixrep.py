@@ -1,11 +1,14 @@
 import json
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from freetoeplitz.freealg import AlgebraElement, theta_word, word_star
+from freetoeplitz.freealg import AlgebraElement, Scalar, theta_word, word_star
 from freetoeplitz.form import WeightSystem
+from freetoeplitz.toeplitz import ToeplitzOperator, random_element, random_holomorphic
 from freetoeplitz.matrixrep import (
     TruncatedSpace,
     adjoint_defect,
@@ -152,3 +155,71 @@ def test_adjoint_defect_random_compatible(ws2):
         if rnd.random() < 0.5:
             g = g.star()
         assert adjoint_defect(ws2, g, space) <= 1e-12
+
+
+def dense_reference(ws, g, space):
+    """The dense matrix: every column of T_g written into a dim x dim array."""
+    op = ToeplitzOperator(g, ws)
+    entries = np.zeros((space.dim, space.dim), dtype=complex)
+    weights = [float(ws.weight(i)) for i in space.basis]
+    for col, k in enumerate(space.basis):
+        image = op.apply(AlgebraElement.from_word(theta_word(k)))
+        for word, c in image.items():
+            row = space.index.get(word)
+            if row is not None:
+                entries[row, col] = complex(c) * math.sqrt(weights[row] / weights[col])
+    return entries
+
+
+MUS = ((1, 1), (2, 3), (Fraction(1, 2), Fraction(5, 3)))
+SPARSE_CASES = [(2, 5, mu) for mu in MUS] + [(1, 8, mu[:1]) for mu in MUS]
+
+
+def sparse_case(n, degree, mu):
+    """Weights, space and seeded symbols: theta-initial, bar-initial,
+    mixed, a scalar and zero."""
+    rnd = random.Random(repr((n, degree, mu)))
+    symbols = []
+    for _ in range(2):
+        h = random_holomorphic(rnd, n, max_len=3)
+        symbols += [h, h.star(), random_element(rnd, n, max_len=4)]
+    symbols += [Scalar(2, -1) * AlgebraElement.one(), AlgebraElement.zero()]
+    return WeightSystem(n, mu=mu), TruncatedSpace.build(n, degree), symbols
+
+
+def assert_canonical(m):
+    assert m.rows.dtype == np.intp and m.cols.dtype == np.intp
+    assert m.values.dtype == complex
+    keys = m.rows * m.dim + m.cols
+    assert np.all(np.diff(keys) > 0)  # row-major, no repeated position
+    assert np.all(m.values != 0)
+
+
+@pytest.mark.parametrize("n,degree,mu", SPARSE_CASES)
+def test_sparse_matrix_matches_dense_reference(n, degree, mu):
+    ws, space, symbols = sparse_case(n, degree, mu)
+    for g in symbols:
+        m = matrix_of(ws, g, space)
+        assert_canonical(m)
+        assert np.array_equal(m.entries, dense_reference(ws, g, space))
+
+
+@pytest.mark.parametrize("n,degree,mu", SPARSE_CASES)
+def test_sparse_commutator_matches_dense_product(n, degree, mu):
+    ws, space, symbols = sparse_case(n, degree, mu)
+    mats = [matrix_of(ws, g, space) for g in symbols]
+    for x in mats:
+        for y in mats:
+            a, b = x.entries, y.entries
+            c = commutator_matrix(x, y)
+            assert_canonical(c)
+            assert np.allclose(c.entries, a @ b - b @ a, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,degree,mu", SPARSE_CASES)
+def test_sparse_adjoint_defect_matches_dense_formula(n, degree, mu):
+    ws, space, symbols = sparse_case(n, degree, mu)
+    for g in symbols:
+        a = dense_reference(ws, g, space)
+        b = dense_reference(ws, g.star(), space)
+        assert adjoint_defect(ws, g, space) == np.abs(a - b.conj().T).max()

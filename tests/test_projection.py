@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from freetoeplitz.freealg import AlgebraElement, Scalar, theta_word, word_star
 from freetoeplitz.form import WeightSystem
 from freetoeplitz.kernel import form_factors
@@ -47,6 +49,14 @@ def test_oracle_examples(ws2):
 def test_oracle_equivalence_small_exhaustive(ws23):
     for w in all_words(2, 5):
         assert project_word(ws23, w) == project_oracle(ws23, w)
+
+
+@pytest.mark.parametrize("mu", [(1, 1), (2, 3)])
+def test_oracle_balance_restriction_matches_full_sweep(mu):
+    # the default oracle enumerates only length balance(w); slack sweeps all
+    ws = WeightSystem(2, mu=mu)
+    for w in all_words(2, 5):
+        assert project_oracle(ws, w) == project_oracle(ws, w, slack=0)
 
 
 def test_oracle_equivalence_random_n3():
