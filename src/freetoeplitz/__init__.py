@@ -2,13 +2,8 @@
 
 from .freealg import (
     AlgebraElement,
-    Decomposition,
     FreeAlgebra,
-    Kind,
     Scalar,
-    bar_word,
-    begins_with,
-    decompose,
     star,
     swap_alphabet,
     theta_word,
@@ -46,10 +41,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraElement",
-    "Decomposition",
     "FreeAlgebra",
     "KERNEL_IMPL",
-    "Kind",
     "LeftRightRightmost",
     "OperatorMatrix",
     "ScanOutcome",
@@ -60,14 +53,11 @@ __all__ = [
     "WeightSystem",
     "adjoint_defect",
     "annihilation",
-    "bar_word",
-    "begins_with",
     "check_adjoint",
     "check_compatibility",
     "commutator_apply",
     "commutator_matrix",
     "creation",
-    "decompose",
     "matrix_of",
     "monte_carlo_mean",
     "parse_weight_config",

@@ -11,22 +11,7 @@ everything is safe to share between threads.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from fractions import Fraction
-
-
-class Kind(enum.Enum):
-    THETA = "theta"
-    BAR = "bar"
-    BOTH = "both"
-
-
-def begins_with(word):
-    """Kind of the first letter; the empty word begins with both kinds."""
-    if not word:
-        return Kind.BOTH
-    return Kind.THETA if word[0] > 0 else Kind.BAR
 
 
 def swap_alphabet(word):
@@ -44,10 +29,6 @@ def theta_word(indices):
     return tuple(int(j) for j in indices)
 
 
-def bar_word(indices):
-    return tuple(-int(j) for j in indices)
-
-
 def is_holomorphic_word(word):
     return all(c > 0 for c in word)
 
@@ -58,31 +39,6 @@ def check_word(word, n):
         if c == 0 or abs(c) > n:
             raise ValueError("generator index out of range: %d (n=%d)" % (c, n))
     return tuple(word)
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Canonical run decomposition of a nonempty word.
-
-    ``head`` is the maximal leading run of the first letter's kind and
-    ``mid`` the maximal following run of the opposite kind, both recorded
-    as multi-indices; ``tail`` is the remaining word.  By maximality the
-    tail is empty or begins with the same kind as the head, and an empty
-    ``mid`` forces an empty tail.
-    """
-
-    kind: Kind
-    head: tuple
-    mid: tuple
-    tail: tuple
-
-    def reassemble(self):
-        s = 1 if self.kind is Kind.THETA else -1
-        return (
-            tuple(s * j for j in self.head)
-            + tuple(-s * j for j in self.mid)
-            + self.tail
-        )
 
 
 def run_ends(word):
@@ -98,27 +54,31 @@ def run_ends(word):
     return p, q
 
 
-def decompose(word):
-    """Unique head-run / opposite-run / tail representation of a word."""
-    if not word:
-        raise ValueError("cannot decompose identity")
-    s = 1 if word[0] > 0 else -1
-    p, q = run_ends(word)
-    head = tuple(word[t] * s for t in range(p))
-    mid = tuple(-word[t] * s for t in range(p, q))
-    return Decomposition(
-        Kind.THETA if s > 0 else Kind.BAR, head, mid, word[q:]
-    )
+# the imaginary part of every real Scalar, so that a real value is
+# recognised by identity
+_ZERO_IM = Fraction(0)
 
 
 class Scalar:
-    """Exact Gaussian-rational number re + im*i."""
+    """Exact Gaussian-rational number re + im*i.
+
+    Both components are always ``Fraction``; a zero imaginary part is
+    always the shared ``_ZERO_IM``, and arithmetic on two real values
+    takes a single ``Fraction`` operation.
+    """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    def __init__(self, re=0, im=_ZERO_IM):
+        if type(re) is not Fraction:
+            re = Fraction(re)
+        if im is not _ZERO_IM:
+            if type(im) is not Fraction:
+                im = Fraction(im)
+            if not im:
+                im = _ZERO_IM
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -135,23 +95,29 @@ class Scalar:
         return Scalar(self.re, -self.im)
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.re or self.im)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if self.im is _ZERO_IM and other.im is _ZERO_IM:
+            return Scalar(self.re + other.re, _ZERO_IM)
         return Scalar(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if self.im is _ZERO_IM and other.im is _ZERO_IM:
+            return Scalar(self.re - other.re, _ZERO_IM)
         return Scalar(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
@@ -164,9 +130,12 @@ class Scalar:
         return Scalar(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if self.im is _ZERO_IM and other.im is _ZERO_IM:
+            return Scalar(self.re * other.re, _ZERO_IM)
         return Scalar(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -208,9 +177,9 @@ class AlgebraElement:
         clean = {}
         if terms:
             for w, c in terms.items():
-                if not isinstance(c, Scalar):
+                if type(c) is not Scalar:
                     c = Scalar(c)
-                if not c.is_zero():
+                if c.re or c.im:
                     clean[w] = c
         object.__setattr__(self, "terms", clean)
 
@@ -249,7 +218,8 @@ class AlgebraElement:
             return NotImplemented
         out = dict(self.terms)
         for w, c in other.terms.items():
-            out[w] = out.get(w, ZERO) + c
+            v = out.get(w)
+            out[w] = c if v is None else v + c
         return AlgebraElement(out)
 
     def __sub__(self, other):
@@ -257,7 +227,8 @@ class AlgebraElement:
             return NotImplemented
         out = dict(self.terms)
         for w, c in other.terms.items():
-            out[w] = out.get(w, ZERO) - c
+            v = out.get(w)
+            out[w] = -c if v is None else v - c
         return AlgebraElement(out)
 
     def __neg__(self):
@@ -270,7 +241,8 @@ class AlgebraElement:
                 for wb, cb in other.terms.items():
                     w = wa + wb
                     c = ca * cb
-                    out[w] = out.get(w, ZERO) + c
+                    v = out.get(w)
+                    out[w] = c if v is None else v + c
             return AlgebraElement(out)
         c = Scalar._coerce(other)
         if c is None:

@@ -8,6 +8,7 @@ in floating point at the very end.  Only nonzero entries are stored.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import format_element
+from .expr import format_element, format_word
 from .freealg import AlgebraElement, theta_word
 from .toeplitz import ToeplitzOperator
 
@@ -86,15 +87,28 @@ def _sparse(space, symbol_text, keys, values):
     return OperatorMatrix(space, symbol_text, rows, cols, sums[keep])
 
 
+def _float_weight(ws, i):
+    """w(i) as a float, which the normalisation divides and square-roots."""
+    try:
+        w = float(ws.weight(i))
+    except OverflowError:
+        w = math.inf
+    if not 0 < w < math.inf:
+        raise ValueError("weight w(%s) is outside float range" % format_word(theta_word(i)))
+    return w
+
+
 def matrix_of(ws, g, space):
     """Matrix of T_g on the truncation, in the orthonormal basis.
 
     Column k holds the expansion of T_g applied to the k-th basis word;
-    images of degree above the truncation are dropped.
+    images of degree above the truncation are dropped.  A weight, weight
+    ratio or entry whose float is not finite, or a zero weight or ratio,
+    raises ValueError.
     """
     op = ToeplitzOperator(g, ws)
     dim = space.dim
-    weights = [float(ws.weight(i)) for i in space.basis]
+    weights = [_float_weight(ws, i) for i in space.basis]
     keys, values = [], []
     for col, k in enumerate(space.basis):
         image = op.apply(AlgebraElement.from_word(theta_word(k)))
@@ -102,8 +116,23 @@ def matrix_of(ws, g, space):
             row = space.index.get(w)
             if row is None:
                 continue
+            ratio = weights[row] / weights[col]
+            if not 0 < ratio < math.inf:
+                raise ValueError(
+                    "weight ratio w(%s)/w(%s) is outside float range"
+                    % (format_word(w), format_word(k))
+                )
+            try:
+                value = complex(c) * math.sqrt(ratio)
+            except OverflowError:
+                value = math.inf
+            if not cmath.isfinite(value):
+                raise ValueError(
+                    "matrix entry (%s, %s) is outside float range"
+                    % (format_word(w), format_word(k))
+                )
             keys.append(row * dim + col)
-            values.append(complex(c) * math.sqrt(weights[row] / weights[col]))
+            values.append(value)
     keys, values = np.array(keys, dtype=np.intp), np.array(values, dtype=complex)
     return _sparse(space, format_element(g), keys, values)
 

@@ -21,8 +21,9 @@ def partner(h):
     """The only holomorphic word that can pair nonzero with the word h.
 
     The empty word when h is empty or bar-initial.  Otherwise, with head
-    run k and mid run l as in ``decompose``, the prefix k[:len(k) - len(l)]
-    when k ends with reversed l, and None (no partner) when it does not.
+    run k (the leading run) and mid run l (the opposite run after it), as
+    ``run_ends`` finds them, the prefix k[:len(k) - len(l)] when k ends
+    with reversed l, and None (no partner) when it does not.
     """
     if not h or h[0] < 0:
         return ()
@@ -62,12 +63,13 @@ def project_word(ws, g):
 
 def project(ws, a):
     """Linear extension of project_word; idempotent with holomorphic range."""
-    out = AlgebraElement.zero()
+    out = {}
     for w, c in a.items():
-        p = project_word(ws, w)
-        if p:
-            out = out + c * p
-    return out
+        for i, v in project_word(ws, w).items():
+            v = c * v
+            prev = out.get(i)
+            out[i] = v if prev is None else prev + v
+    return AlgebraElement(out)
 
 
 def project_oracle(ws, g, slack=None):

@@ -185,6 +185,30 @@ def test_domain_error_exits_1():
     assert main(["form", "t1", "t1", "--n", "2", "--mu", "2"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # w(t1) overflows a float; then w(t1*t1) alone does
+        ("--symbol=t1", "--degree", "2", "--n", "1", "--mu", "1" + "0" * 400),
+        ("--symbol=t1", "--degree", "2", "--n", "1", "--mu", "1" + "0" * 200),
+        # w(t1) underflows to 0.0, the divisor of a weight ratio
+        ("--symbol=t1", "--degree", "2", "--n", "1", "--mu", "1/1" + "0" * 400),
+        # a coefficient, then an entry 10^308 * sqrt(w(t1)), past float range
+        ("--symbol=1%s*t1" % ("0" * 400), "--degree", "2", "--n", "1"),
+        ("--symbol=1%s*t1" % ("0" * 308), "--degree", "1", "--n", "1", "--mu", "100"),
+    ],
+)
+def test_matrix_outside_float_range_exits_1(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "freetoeplitz.cli", "matrix", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and "outside float range" in proc.stderr
+
+
 def test_usage_error_exits_2_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "freetoeplitz.cli", "bogus"],

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,10 +7,8 @@ from hypothesis import given, strategies as st
 from freetoeplitz.freealg import (
     AlgebraElement,
     FreeAlgebra,
-    Kind,
     Scalar,
-    begins_with,
-    decompose,
+    run_ends,
     swap_alphabet,
     word_star,
 )
@@ -18,38 +17,30 @@ words = st.lists(
     st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=8
 ).map(tuple)
 
-
-def test_begins_with():
-    assert begins_with(()) is Kind.BOTH
-    assert begins_with((1, -2)) is Kind.THETA
-    assert begins_with((-2, 1)) is Kind.BAR
-
-
-def test_decompose_examples():
-    d = decompose((1, 2, -2, 1, -1))
-    assert (d.head, d.mid, d.tail) == ((1, 2), (2,), (1, -1))
-    d = decompose((1, 2))
-    assert (d.head, d.mid, d.tail) == ((1, 2), (), ())
-    d = decompose((-1, 1, -2))
-    assert d.kind is Kind.BAR
-    assert (d.head, d.mid, d.tail) == ((1,), (1,), (-2,))
-
-
-def test_decompose_identity_rejected():
-    with pytest.raises(ValueError):
-        decompose(())
+# Gaussian rationals as (re, im) pairs: zero, purely real, purely
+# imaginary and general values all occur
+parts = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+gaussians = st.one_of(
+    st.tuples(parts, st.just(Fraction(0))),
+    st.tuples(st.just(Fraction(0)), parts),
+    st.tuples(parts, parts),
+)
 
 
 @given(words.filter(lambda w: len(w) > 0))
-def test_decompose_reassembles_and_runs_are_maximal(w):
-    d = decompose(w)
-    assert d.reassemble() == w
-    assert len(d.head) >= 1
-    if not d.mid:
-        assert d.tail == ()
-    if d.tail:
-        first = d.tail[0]
-        assert (first > 0) == (d.kind is Kind.THETA)
+def test_run_ends_runs_are_maximal(w):
+    p, q = run_ends(w)
+    first = w[0] > 0
+    assert 1 <= p <= q <= len(w)
+    assert all((c > 0) == first for c in w[:p])
+    assert p == len(w) or (w[p] > 0) != first
+    assert all((c > 0) != first for c in w[p:q])
+    assert q == len(w) or (w[q] > 0) == first
+    if p == len(w):
+        assert q == p
 
 
 @given(words)
@@ -132,6 +123,93 @@ def test_scalar_arithmetic_exact():
     assert c.conjugate().conjugate() == c
     assert (c * d).conjugate() == c.conjugate() * d.conjugate()
     assert (c + d).conjugate() == c.conjugate() + d.conjugate()
+
+
+def _parts(z):
+    # the components of a Scalar, which are exactly Fraction
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    return z.re, z.im
+
+
+@given(gaussians, gaussians)
+def test_scalar_arithmetic_matches_component_formula(x, y):
+    (a, b), (c, d) = x, y
+    s, t = Scalar(a, b), Scalar(c, d)
+    assert _parts(s + t) == (a + c, b + d)
+    assert _parts(s - t) == (a - c, b - d)
+    assert _parts(s * t) == (a * c - b * d, a * d + b * c)
+    assert _parts(s + 2) == _parts(2 + s) == (a + 2, b)
+    assert _parts(s - 2) == (a - 2, b)
+    assert _parts(2 - s) == (2 - a, -b)
+    assert _parts(s * 3) == _parts(3 * s) == (3 * a, 3 * b)
+    assert _parts(s * Fraction(1, 2)) == (a / 2, b / 2)
+
+
+@given(gaussians, st.integers(-5, 5))
+def test_scalar_components_are_fractions(x, k):
+    a, b = x
+    for z in (
+        Scalar(k),
+        Scalar(k, k),
+        Scalar(a),
+        Scalar(a, b),
+        Scalar(),
+        -Scalar(a, b),
+        Scalar(a, b).conjugate(),
+        Scalar(a) + Scalar(k),
+        Scalar(a) - Scalar(k),
+        Scalar(a) * Scalar(k),
+    ):
+        _parts(z)
+    assert _parts(Scalar(k)) == (k, 0)
+    # every zero imaginary part is one shared Fraction
+    zero_im = Scalar(k).im
+    assert Scalar(a, 0).im is zero_im and (Scalar(a, 1) - Scalar(k, 1)).im is zero_im
+    assert bool(Scalar(a, b)) == (a != 0 or b != 0) != Scalar(a, b).is_zero()
+
+
+@given(gaussians, gaussians)
+def test_real_fast_path_agrees_with_general_path(x, y):
+    (a, b), (c, _) = x, y
+    # a real value reached through the general formulas, and the same
+    # value reached through real operands only
+    z = Scalar(a, b)
+    assert z * z.conjugate() == Scalar(a * a) + Scalar(b * b)
+    assert hash(z * z.conjugate()) == hash(Scalar(a * a) + Scalar(b * b))
+    for general, fast, direct in (
+        (Scalar(a, 1) + Scalar(c, -1), Scalar(a) + Scalar(c), Scalar(a + c)),
+        (Scalar(a, 1) - Scalar(c, 1), Scalar(a) - Scalar(c), Scalar(a - c)),
+        (Scalar(a, 1) * Scalar(c), Scalar(a) * Scalar(c) + Scalar(0, c), Scalar(a * c, c)),
+    ):
+        assert general == fast == direct
+        assert hash(general) == hash(fast) == hash(direct)
+
+
+def _zero_free(e):
+    return all(c.re or c.im for c in e.terms.values())
+
+
+@given(st.lists(st.tuples(words, gaussians), max_size=5), gaussians, words)
+def test_cancelling_element_arithmetic_stores_no_zero(terms, x, u):
+    a = AlgebraElement({w: Scalar(*z) for w, z in terms})
+    assert _zero_free(a)
+    for e in (a - a, a + (-a), -a + a):
+        assert e.terms == {}
+    # (1 + z u)(1 - z u) = 1 - z^2 u u: the two z u terms cancel
+    z = Scalar(*x)
+    one = AlgebraElement.one()
+    p = (one + z * AlgebraElement.from_word(u)) * (one - z * AlgebraElement.from_word(u))
+    assert _zero_free(p)
+    if u:
+        assert p == one - z * z * AlgebraElement.from_word(u + u)
+        assert u not in p.terms
+    assert _zero_free(a * p) and _zero_free(p * a + a)
+
+
+def test_element_drops_zero_coefficients():
+    a = AlgebraElement({(1,): Scalar(0), (2,): 0, (): Fraction(0), (-1,): Scalar(0, 2)})
+    assert a.terms == {(-1,): Scalar(0, 2)}
+    assert type(AlgebraElement({(1,): 3}).terms[(1,)]) is Scalar
 
 
 def test_index_validation():

@@ -106,6 +106,20 @@ def test_commutator_matrix_dim_mismatch(ws2):
         commutator_matrix(m1, m2)
 
 
+def test_weight_ratio_outside_float_range_rejected():
+    # both weights are floats, but w(t1) / w(t1*t1) = 10^400 is not, and
+    # its inverse underflows to 0
+    big = Fraction(10) ** 200
+    ws = WeightSystem.custom(1, {(1,): big, (1, 1): 1 / big})
+    space = TruncatedSpace.build(1, 2)
+    with pytest.raises(ValueError, match=r"weight ratio w\(t1\)/w\(t1\*t1\)"):
+        matrix_of(ws, w((-1,)), space)
+    with pytest.raises(ValueError, match=r"weight ratio w\(t1\*t1\)/w\(t1\)"):
+        matrix_of(ws, w((1,)), space)
+    # the entries of T_1 have ratio 1
+    assert len(matrix_of(ws, AlgebraElement.one(), space).values) == 3
+
+
 def test_number_like_commutator_n1():
     ws = WeightSystem.unit(1)
     space = TruncatedSpace.build(1, 4)

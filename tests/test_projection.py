@@ -128,3 +128,31 @@ def test_partner_is_the_only_candidate():
     # not vacuous: 319 words to length 6 pair nonzero with a holomorphic
     # word, and 711 pairs (f1, f2) give a nonzero <f1 f2*, g> at max_len 4
     assert (hits, glue_hits) == (319, 711)
+
+
+def _project_reference(ws, a):
+    # the linear extension term by term, one element sum per term
+    out = AlgebraElement.zero()
+    for w, c in a.items():
+        out = out + c * project_word(ws, w)
+    return out
+
+
+@pytest.mark.parametrize(
+    "mu", [(1, 1), (2, 3), (Fraction(1, 2), Fraction(5, 3))]
+)
+def test_project_matches_termwise_sum(mu):
+    from freetoeplitz.toeplitz import random_element
+
+    ws = WeightSystem(2, mu=mu)
+    rnd = random.Random(17)
+    shared = 0
+    for _ in range(300):
+        a = random_element(rnd, 2, max_terms=10, max_len=4)
+        p = project(ws, a)
+        assert p == _project_reference(ws, a)
+        assert all(c.re or c.im for c in p.terms.values())
+        images = [project_word(ws, w) for w in a.terms]
+        shared += sum(1 for q in images if q) > len(p.terms)
+    # not vacuous: terms often share their partner, summed or cancelled
+    assert shared > 50
