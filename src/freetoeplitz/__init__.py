@@ -2,9 +2,7 @@
 
 from .freealg import (
     AlgebraElement,
-    FreeAlgebra,
     Scalar,
-    star,
     swap_alphabet,
     theta_word,
     word_star,
@@ -32,7 +30,6 @@ from .toeplitz import (
     annihilation,
     check_adjoint,
     check_compatibility,
-    commutator_apply,
     creation,
     reproduce_counterexamples,
 )
@@ -41,7 +38,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraElement",
-    "FreeAlgebra",
     "KERNEL_IMPL",
     "LeftRightRightmost",
     "OperatorMatrix",
@@ -55,7 +51,6 @@ __all__ = [
     "annihilation",
     "check_adjoint",
     "check_compatibility",
-    "commutator_apply",
     "commutator_matrix",
     "creation",
     "matrix_of",
@@ -67,7 +62,6 @@ __all__ = [
     "random_toeplitz_apply",
     "reproduce_counterexamples",
     "scan_project",
-    "star",
     "swap_alphabet",
     "theta_word",
     "word_star",

@@ -15,13 +15,20 @@ from .form import WeightSystem, parse_rational, parse_weight_config
 from .projection import project
 
 
-def _int_at_least(low):
-    """argparse type: an integer >= low, else a usage error (exit 2)."""
+# largest generator count; a WeightSystem holds n weights from the start
+MAX_N = 10_000
+
+
+def _int_in(low, high=None):
+    """argparse type: an integer in [low, high], else a usage error (exit 2)."""
 
     def parse(text):
-        if int(text) < low:
+        value = int(text)
+        if value < low:
             raise argparse.ArgumentTypeError("must be at least %d: %s" % (low, text))
-        return int(text)
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError("must be at most %d: %s" % (high, text))
+        return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
@@ -33,9 +40,10 @@ def _build_parser():
         description="Exact Toeplitz quantization of the free *-algebra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    n_type = _int_in(1, MAX_N)
 
     def common(p):
-        p.add_argument("--n", type=int, default=2, help="generator count")
+        p.add_argument("--n", type=n_type, default=2, help="generator count")
         p.add_argument("--mu", help="comma-separated positive rationals")
         p.add_argument(
             "--weights", help="file in 'mu = r1, r2, ...' format"
@@ -57,7 +65,7 @@ def _build_parser():
 
     p = sub.add_parser("matrix", help="truncated operator matrix")
     p.add_argument("--symbol", required=True)
-    p.add_argument("--degree", type=_int_at_least(0), required=True)
+    p.add_argument("--degree", type=_int_in(0), required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
     common(p)
@@ -68,8 +76,8 @@ def _build_parser():
         required=True,
         choices=("symmetry", "adjoint", "compat", "counterexamples"),
     )
-    p.add_argument("--max-len", type=_int_at_least(0), default=4)
-    p.add_argument("--trials", type=_int_at_least(1), default=1000)
+    p.add_argument("--max-len", type=_int_in(0), default=4)
+    p.add_argument("--trials", type=_int_in(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
     common(p)
 
@@ -81,14 +89,12 @@ def _build_parser():
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=n_type, default=2)
     return parser
 
 
 def _weights(args):
     n = args.n
-    if n < 1:
-        raise ValueError("generator count must be positive")
     if getattr(args, "weights", None):
         with open(args.weights) as fh:
             mu = parse_weight_config(fh.read())

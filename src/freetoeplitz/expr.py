@@ -27,6 +27,9 @@ from .freealg import AlgebraElement, Scalar
 # Python frames, so this keeps well inside the recursion limit of 1000
 MAX_NESTING = 100
 
+# str.isdigit also accepts other scripts' digits and superscripts
+_DIGITS = frozenset("0123456789")
+
 
 class ExprError(ValueError):
     """Malformed expression; offset is the 1-based byte position."""
@@ -59,9 +62,9 @@ class _Lexer:
             if ch in "+-*^()/":
                 self.tokens.append((ch, None, off))
                 p += 1
-            elif ch.isdigit():
+            elif ch in _DIGITS:
                 q = p
-                while q < m and text[q].isdigit():
+                while q < m and text[q] in _DIGITS:
                     q += 1
                 self.tokens.append(("num", int(text[p:q]), off))
                 p = q
@@ -72,10 +75,10 @@ class _Lexer:
                 name = text[p:q]
                 if name in ("t", "θ", "b"):
                     kind = 1 if name != "b" else -1
-                    if q >= m or not text[q].isdigit():
+                    if q >= m or text[q] not in _DIGITS:
                         raise ExprError("generator needs an index", off)
                     r = q
-                    while r < m and text[r].isdigit():
+                    while r < m and text[r] in _DIGITS:
                         r += 1
                     j = int(text[q:r])
                     if not 1 <= j <= self.n:
@@ -274,7 +277,3 @@ def format_element(a):
         else:
             bits.append(_coeff_prefix(c) + format_word(w))
     return " + ".join(bits)
-
-
-# the lexer already rejects generator indices outside 1..n
-element_from_text = parse_element

@@ -97,7 +97,7 @@ class WeightSystem:
         return out
 
 
-_RATIONAL_RE = _re.compile(r"^\s*(\d+)\s*(?:/\s*(\d+))?\s*$")
+_RATIONAL_RE = _re.compile(r"^\s*([0-9]+)\s*(?:/\s*([0-9]+))?\s*$")
 
 
 def parse_rational(text):

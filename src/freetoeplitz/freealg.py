@@ -33,14 +33,6 @@ def is_holomorphic_word(word):
     return all(c > 0 for c in word)
 
 
-def check_word(word, n):
-    """Validate letter indices against the ambient generator count."""
-    for c in word:
-        if c == 0 or abs(c) > n:
-            raise ValueError("generator index out of range: %d (n=%d)" % (c, n))
-    return tuple(word)
-
-
 def run_ends(word):
     """Ends of the leading run of a word and of the opposite run after it."""
     s = 1 if word and word[0] > 0 else -1
@@ -159,9 +151,7 @@ class Scalar:
         return "Scalar(%s, %s)" % (self.re, self.im)
 
 
-ZERO = Scalar(0)
 ONE = Scalar(1)
-I = Scalar(0, 1)
 
 
 class AlgebraElement:
@@ -200,9 +190,6 @@ class AlgebraElement:
 
     def items(self):
         return self.terms.items()
-
-    def coefficient(self, word):
-        return self.terms.get(tuple(word), ZERO)
 
     def is_zero(self):
         return not self.terms
@@ -282,44 +269,3 @@ class AlgebraElement:
             bits.append("%r: %r" % (w, self.terms[w]))
         return "AlgebraElement({%s})" % ", ".join(bits)
 
-
-def star(a):
-    return a.star()
-
-
-class FreeAlgebra:
-    """Ambient algebra context: fixes the generator count n and validates
-    letter indices on construction of words and elements."""
-
-    def __init__(self, n):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("generator count must be a positive integer")
-        self.n = n
-
-    def theta(self, j):
-        self._check_index(j)
-        return AlgebraElement.from_word((j,))
-
-    def bar(self, j):
-        self._check_index(j)
-        return AlgebraElement.from_word((-j,))
-
-    def one(self):
-        return AlgebraElement.one()
-
-    def zero(self):
-        return AlgebraElement.zero()
-
-    def word(self, letters):
-        return check_word(letters, self.n)
-
-    def element(self, terms):
-        for w in terms:
-            check_word(w, self.n)
-        return AlgebraElement(terms)
-
-    def _check_index(self, j):
-        if not 1 <= j <= self.n:
-            raise ValueError(
-                "generator index out of range: %d (n=%d)" % (j, self.n)
-            )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -49,13 +49,6 @@ def annihilation(ws, j, phi):
     return op.apply(phi)
 
 
-def commutator_apply(ws, g, h, phi):
-    """T_g T_h phi - T_h T_g phi."""
-    tg = ToeplitzOperator(g, ws)
-    th = ToeplitzOperator(h, ws)
-    return tg.apply(th.apply(phi)) - th.apply(tg.apply(phi))
-
-
 def _check_index(ws, j):
     if not 1 <= j <= ws.n:
         raise ValueError("generator index out of range: %d (n=%d)" % (j, ws.n))
@@ -69,24 +62,8 @@ class AdjointViolation:
     rhs: Scalar
 
 
-@dataclass
-class AdjointReport:
-    symbol: AlgebraElement
-    seed: int
-    trials: int
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    def format(self):
-        """One violation per line: f1 <TAB> f2 <TAB> lhs <TAB> rhs."""
-        return format_adjoint_violations(self.violations)
-
-
 def format_adjoint_violations(violations):
-    """One line per AdjointViolation, as in AdjointReport.format."""
+    """One violation per line: f1 <TAB> f2 <TAB> lhs <TAB> rhs."""
     return "\n".join(
         "%s\t%s\t%s\t%s"
         % (format_element(v.f1), format_element(v.f2),
@@ -147,21 +124,22 @@ def symmetry_suite(ws, trials, max_len, seed):
 def check_adjoint(ws, g, trials=500, seed=0):
     """Sample <f1, T_g f2> against <T_{g*} f1, f2> on holomorphic pairs.
 
-    For symbols in the holomorphic subalgebra or its conjugate the
-    violation list must come back empty; for general symbols it may not.
+    Returns the list of AdjointViolation.  For symbols in the
+    holomorphic subalgebra or its conjugate it must come back empty; for
+    general symbols it may not.
     """
     rnd = random.Random(seed)
     tg = ToeplitzOperator(g, ws)
     tgs = ToeplitzOperator(g.star(), ws)
-    report = AdjointReport(symbol=g, seed=seed, trials=trials)
+    violations = []
     for _ in range(trials):
         f1 = random_holomorphic(rnd, ws.n)
         f2 = random_holomorphic(rnd, ws.n)
         lhs = ws.form(f1, tg.apply(f2))
         rhs = ws.form(tgs.apply(f1), f2)
         if lhs != rhs:
-            report.violations.append(AdjointViolation(f1, f2, lhs, rhs))
-    return report
+            violations.append(AdjointViolation(f1, f2, lhs, rhs))
+    return violations
 
 
 def adjoint_suite(ws, trials, max_len, seed):
@@ -176,8 +154,7 @@ def adjoint_suite(ws, trials, max_len, seed):
         g = random_holomorphic(rnd, ws.n, max_len=max_len)
         if rnd.random() < 0.5:
             g = g.star()
-        report = check_adjoint(ws, g, trials=50, seed=rnd.randint(0, 2**31))
-        violations += report.violations
+        violations += check_adjoint(ws, g, trials=50, seed=rnd.randint(0, 2**31))
     return violations
 
 

@@ -179,6 +179,7 @@ def test_weights_file(tmp_path, capsys):
 def test_malformed_expression_exits_2():
     assert main(["form", "t1 +", "t1", "--n", "2"]) == 2
     assert main(["project", "qq", "--n", "2"]) == 2
+    assert main(["project", "t\u00b2", "--n", "2"]) == 2  # a superscript is no digit
 
 
 def test_domain_error_exits_1():
@@ -246,6 +247,10 @@ def _usage_error(capsys, *argv):
         ("check", "--suite", "symmetry", "--trials", "-5"),
         ("check", "--suite", "adjoint", "--trials", "0"),
         ("matrix", "--symbol", "t1", "--degree", "-1"),
+        ("form", "t1", "t1", "--n", "0"),
+        ("form", "t1", "t1", "--n", "10001"),
+        ("scan", "t1", "--n", "0"),
+        ("scan", "t1", "--n", "10001"),
     ],
 )
 def test_out_of_range_flags_exit_2(capsys, argv):

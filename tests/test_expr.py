@@ -6,7 +6,6 @@ import pytest
 from freetoeplitz.expr import (
     MAX_NESTING,
     ExprError,
-    element_from_text,
     format_element,
     format_scalar,
     format_word,
@@ -62,6 +61,11 @@ def test_errors_carry_offsets():
         parse_element("t1 +", 2)
     with pytest.raises(ExprError):
         parse_element("", 2)
+    # only ASCII digits are digits: not superscripts, not other scripts
+    for text, offset in (("t²", 1), ("t1^²", 4), ("²", 1), ("t\u0661", 1)):
+        with pytest.raises(ExprError) as info:
+            parse_element(text, 2)
+        assert info.value.offset == offset
 
 
 def test_parse_word():
@@ -109,11 +113,11 @@ def test_round_trip_random_elements():
 
 
 def test_element_from_text_validates_indices():
-    assert element_from_text("t1 + b2", 2) == AlgebraElement(
+    assert parse_element("t1 + b2", 2) == AlgebraElement(
         {(1,): Scalar(1), (-2,): Scalar(1)}
     )
     with pytest.raises(ExprError):
-        element_from_text("t9", 2)
+        parse_element("t9", 2)
 
 
 def test_nesting_limit():

@@ -214,6 +214,8 @@ def test_parse_rational():
         parse_rational("1/0")
     with pytest.raises(ValueError):
         parse_rational("-2")
+    with pytest.raises(ValueError):
+        parse_rational("\u0662/\u0663")  # Arabic-Indic 2/3
 
 
 def test_parse_weight_config():
