@@ -34,6 +34,17 @@ def _int_in(low, high=None):
     return parse
 
 
+def _probability(text):
+    """argparse type: a float in [0, 1], so neither nan nor inf, else exit 2."""
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError("must lie in [0, 1]: %s" % text)
+    return value
+
+
+_probability.__name__ = "float"
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="fta",
@@ -86,7 +97,7 @@ def _build_parser():
     p.add_argument(
         "--algorithm", choices=("left-right", "random"), default="left-right"
     )
-    p.add_argument("--p", type=float, default=0.5)
+    p.add_argument("--p", type=_probability, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--n", type=n_type, default=2)

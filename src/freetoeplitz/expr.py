@@ -32,7 +32,7 @@ _DIGITS = frozenset("0123456789")
 
 
 class ExprError(ValueError):
-    """Malformed expression; offset is the 1-based byte position."""
+    """Malformed expression; offset is the 1-based character position."""
 
     def __init__(self, message, offset):
         super().__init__("%s (at offset %d)" % (message, offset))
@@ -55,7 +55,7 @@ class _Lexer:
         p = 0
         while p < m:
             ch = text[p]
-            if ch.isspace():
+            if ch in " \t":
                 p += 1
                 continue
             off = p + 1

@@ -97,12 +97,12 @@ class WeightSystem:
         return out
 
 
-_RATIONAL_RE = _re.compile(r"^\s*([0-9]+)\s*(?:/\s*([0-9]+))?\s*$")
+_RATIONAL_RE = _re.compile(r"[ \t]*([0-9]+)[ \t]*(?:/[ \t]*([0-9]+))?[ \t]*")
 
 
 def parse_rational(text):
     """Positive rational from 'p' or 'p/q' text."""
-    m = _RATIONAL_RE.match(text)
+    m = _RATIONAL_RE.fullmatch(text)
     if not m:
         raise ValueError("malformed rational: %r" % text)
     num = int(m.group(1))
@@ -123,11 +123,11 @@ def parse_weight_config(text):
     """
     mu = None
     for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
+        line = line.split("#", 1)[0].strip(" \t")
         if not line:
             continue
         key, sep, rhs = line.partition("=")
-        if not sep or key.strip() != "mu":
+        if not sep or key.strip(" \t") != "mu":
             raise ValueError("line %d: expected 'mu = r1, r2, ...'" % lineno)
         if mu is not None:
             raise ValueError("line %d: duplicate mu assignment" % lineno)

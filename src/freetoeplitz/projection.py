@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .freealg import AlgebraElement, Scalar, run_ends, swap_alphabet, theta_word, word_star
+from .freealg import AlgebraElement, Scalar, run_ends, theta_word, word_star
 
 
 def partner(h):
@@ -34,21 +34,25 @@ def partner(h):
     return h[:i]
 
 
-def glue_partner(f1, g):
-    """The only holomorphic word f2 for which <f1 f2*, g> can be nonzero.
+def partner_families(x):
+    """Every pair (partner(f + x), f) with f a holomorphic word.
 
-    None when there is none.  The kernel's first gluing step fixes f2: for
-    g empty or theta-initial, with head run k and mid run l,
-    f1 + rev(l) = k + f2 (for f1 empty that gives f2 = () whenever
-    <(), g> is nonzero); for g bar-initial, f1 is empty and rev(f2) is
-    the partner of g with its letter kinds swapped.
+    Inverts ``partner``'s closed form.  Returns (pairs, families): the
+    pairs listed, and for each (s1, s2) in families the pairs
+    (u + s1, u + s2) for every holomorphic word u.  For x theta-initial
+    with head run k, mid run l and r = rev(l), f merges into k, so only
+    f's last len(l) - len(k) letters are constrained.
     """
-    if g and g[0] < 0:
-        f2 = None if f1 else partner(swap_alphabet(g))
-        return None if f2 is None else f2[::-1]
-    t, q = run_ends(g)
-    glued = f1 + word_star(g[t:q])
-    return glued[t:] if glued[:t] == g[:t] else None
+    if not x:
+        return [], [((), ())]
+    p, q = run_ends(x)
+    if x[0] < 0:
+        return [((), ())], [((), word_star(x[:p]))]
+    k, r = x[:p], word_star(x[p:q])
+    d = p - len(r)
+    if d >= 0:
+        return [], [(k[:d], ())] if k[d:] == r else []
+    return [], [((), r[:-d])] if r[-d:] == k else []
 
 
 def project_word(ws, g):

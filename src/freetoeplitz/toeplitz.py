@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .expr import format_element, format_scalar, format_word
-from .freealg import AlgebraElement, Scalar, word_star
-from .projection import glue_partner, partner, project
+from .freealg import AlgebraElement, Scalar, run_ends, swap_alphabet, word_star
+from .projection import partner, partner_families, project
 
 
 class ToeplitzOperator:
@@ -211,40 +211,66 @@ class CompatibilityViolation:
     rhs: Fraction
 
 
+def compat_pairs(g, holo):
+    """The pairs (f1, f2) that check_compatibility evaluates for the word g.
+
+    holo[r] lists the holomorphic words of length r, for r up to max_len.
+    Each side of the identities pairs nonzero for at most one pair per
+    holomorphic word: <f1, f2 g> fixes f1 = partner(f2 g); <f1 g*, f2>
+    fixes f2 = partner(f1 g*), as word pairings are real and symmetric;
+    and <f1 f2*, g> fixes f2 once f1 is glued to g's head run.  Each set
+    of pairs is listed from g's runs, in families (a + u + b, u + c) over
+    holomorphic u, and kept only within max_len and where
+    len(f1) = len(f2) + balance(g), outside which every side is zero.
+    The pairs come sorted by f2, then f1.
+    """
+    max_len = len(holo) - 1
+    bal = sum(1 if c > 0 else -1 for c in g)
+    pairs1, fams1 = partner_families(g)
+    pairs2, fams2 = partner_families(word_star(g))
+    pairs = pairs1 + [(f1, f2) for f2, f1 in pairs2]
+    fams = [((),) + fam for fam in fams1] + [((), b, a) for a, b in fams2]
+    # <f1 f2*, g>: for g bar-initial f1 is empty and rev(f2) is the
+    # partner of g with its letter kinds swapped; otherwise f1 + r = k + f2
+    # for g's head run k and reversed mid run r, so f1 is k + u or a
+    # proper prefix of k that r completes
+    if g and g[0] < 0:
+        f2 = partner(swap_alphabet(g))
+        pairs += [((), f2[::-1])] if f2 is not None else []
+    else:
+        p, q = run_ends(g)
+        k, r = g[:p], word_star(g[p:q])
+        fams.append((k, (), r))
+        pairs += [
+            (k[:j], r[p - j:]) for j in range(max(0, 2 * p - q), p) if r[:p - j] == k[j:]
+        ]
+    out = {
+        pair for pair in pairs
+        if len(pair[0]) == len(pair[1]) + bal and max(map(len, pair)) <= max_len
+    }
+    for a, b, c in fams:
+        if len(a) + len(b) == len(c) + bal:
+            room = max_len - max(len(a) + len(b), len(c))
+            out.update(
+                (a + u + b, u + c) for length in range(room + 1) for u in holo[length]
+            )
+    return sorted(out, key=lambda pair: (len(pair[1]), pair[1], pair[0]))
+
+
 def check_compatibility(n, max_len, ws):
     """Both identities on every triple within max_len, through candidates.
 
     f1 and f2 range over the holomorphic words and g over all words of
-    length at most max_len, with len(f1) = len(f2) + balance(g): outside
-    that class every side pairs to zero.  Each side pairs nonzero for at
-    most one pair per (holomorphic word, g), so only those candidate
-    pairs are evaluated, and every violation is among them:
-
-    <f1, f2 g> fixes f1 = partner(f2 g); <f1 g*, f2> fixes
-    f2 = partner(f1 g*), as word pairings are real and symmetric; and
-    <f1 f2*, g> fixes f2 = glue_partner(f1, g).
+    length at most max_len.  Only the pairs of ``compat_pairs`` are
+    evaluated; every violation is among them.  Violations come ordered
+    by g, then f2, then f1.
     """
     letters = [c for j in range(1, n + 1) for c in (j, -j)]
-    words = [
-        w
-        for r in range(max_len + 1)
-        for w in itertools.product(letters, repeat=r)
-    ]
-    holo = [w for w in words if all(c > 0 for c in w)]
+    holo = [list(itertools.product(range(1, n + 1), repeat=r)) for r in range(max_len + 1)]
     violations = []
-    for g in words:
-        bal = sum(1 if c > 0 else -1 for c in g)
+    for g in (w for r in range(max_len + 1) for w in itertools.product(letters, repeat=r)):
         gs = word_star(g)
-        pairs = set()
-        for f in holo:
-            candidates = (
-                (partner(f + g), f), (f, partner(f + gs)), (f, glue_partner(f, g))
-            )
-            pairs.update(p for p in candidates if None not in p)
-        # violations come ordered by g, then f2, then f1
-        for f1, f2 in sorted(pairs, key=lambda p: (len(p[1]), p[1], p[0])):
-            if len(f1) != len(f2) + bal or max(len(f1), len(f2)) > max_len:
-                continue
+        for f1, f2 in compat_pairs(g, holo):
             lhs = ws.form_words(f1, f2 + g)
             rhs1 = ws.form_words(f1 + gs, f2)
             if lhs != rhs1:

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from freetoeplitz.form import WeightSystem
-from freetoeplitz.freealg import word_star
+from freetoeplitz.freealg import run_ends, swap_alphabet, word_star
+from freetoeplitz.projection import partner
 
 
 @pytest.fixture
@@ -56,3 +57,42 @@ def compat_enumeration(n, max_len, ws, prune):
                 if lhs != rhs2:
                     out.add((2, f1, f2, g, lhs, rhs2))
     return out
+
+
+def glue_partner(f1, g):
+    """The only holomorphic word f2 for which <f1 f2*, g> can be nonzero.
+
+    None when there is none.  The kernel's first gluing step fixes f2: for
+    g empty or theta-initial, with head run k and mid run l,
+    f1 + rev(l) = k + f2 (for f1 empty that gives f2 = () whenever
+    <(), g> is nonzero); for g bar-initial, f1 is empty and rev(f2) is
+    the partner of g with its letter kinds swapped.
+    """
+    if g and g[0] < 0:
+        f2 = None if f1 else partner(swap_alphabet(g))
+        return None if f2 is None else f2[::-1]
+    t, q = run_ends(g)
+    glued = f1 + word_star(g[t:q])
+    return glued[t:] if glued[:t] == g[:t] else None
+
+
+def compat_scan(holo, max_len, g):
+    """The candidate pairs (f1, f2) for g, found by scanning every f.
+
+    Tries the three closed forms on each word f of holo, the holomorphic
+    words of length at most max_len; keeps the pairs within max_len with
+    len(f1) = len(f2) + balance(g) and sorts them by f2, then f1.  The
+    oracle for ``toeplitz.compat_pairs``.
+    """
+    bal = sum(1 if c > 0 else -1 for c in g)
+    gs = word_star(g)
+    pairs = set()
+    for f in holo:
+        candidates = (
+            (partner(f + g), f), (f, partner(f + gs)), (f, glue_partner(f, g))
+        )
+        pairs.update(p for p in candidates if None not in p)
+    return sorted(
+        (p for p in pairs if len(p[0]) == len(p[1]) + bal and max(map(len, p)) <= max_len),
+        key=lambda p: (len(p[1]), p[1], p[0]),
+    )

@@ -251,6 +251,10 @@ def _usage_error(capsys, *argv):
         ("form", "t1", "t1", "--n", "10001"),
         ("scan", "t1", "--n", "0"),
         ("scan", "t1", "--n", "10001"),
+        ("scan", "t1*b1", "--algorithm", "random", "--p", "2"),
+        ("scan", "t1*b1", "--algorithm", "random", "--p", "-1"),
+        ("scan", "t1*b1", "--algorithm", "random", "--p", "nan"),
+        ("scan", "t1*b1", "--algorithm", "random", "--p", "inf"),
     ],
 )
 def test_out_of_range_flags_exit_2(capsys, argv):

@@ -66,6 +66,14 @@ def test_errors_carry_offsets():
         with pytest.raises(ExprError) as info:
             parse_element(text, 2)
         assert info.value.offset == offset
+    # only the ASCII space and tab separate tokens; the offset counts
+    # characters, so the no-break space after "θ1" (three UTF-8 bytes)
+    # is at offset 3
+    assert parse_element("t1\t+ t2", 2) == parse_element("t1+t2", 2)
+    for text, offset in (("t1\u00a0+ t2", 3), ("\u2003t1", 1), ("t1\n", 3), ("θ1\u00a0t1", 3)):
+        with pytest.raises(ExprError, match="unexpected character") as info:
+            parse_element(text, 2)
+        assert info.value.offset == offset
 
 
 def test_parse_word():

@@ -216,6 +216,11 @@ def test_parse_rational():
         parse_rational("-2")
     with pytest.raises(ValueError):
         parse_rational("\u0662/\u0663")  # Arabic-Indic 2/3
+    assert parse_rational(" 2 /\t3 ") == Fraction(2, 3)
+    # only the ASCII space and tab may pad a rational
+    for text in ("2\u00a0", "\u20032/3", "2/\u00a03", "3\n"):
+        with pytest.raises(ValueError, match="malformed rational"):
+            parse_rational(text)
 
 
 def test_parse_weight_config():

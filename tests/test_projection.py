@@ -8,14 +8,14 @@ from freetoeplitz.freealg import AlgebraElement, Scalar, theta_word, word_star
 from freetoeplitz.form import WeightSystem
 from freetoeplitz.kernel import form_factors
 from freetoeplitz.projection import (
-    glue_partner,
     partner,
+    partner_families,
     project,
     project_oracle,
     project_word,
 )
 
-from conftest import all_words
+from conftest import all_words, glue_partner
 
 
 def test_project_word_examples(ws2):
@@ -128,6 +128,23 @@ def test_partner_is_the_only_candidate():
     # not vacuous: 319 words to length 6 pair nonzero with a holomorphic
     # word, and 711 pairs (f1, f2) give a nonzero <f1 f2*, g> at max_len 4
     assert (hits, glue_hits) == (319, 711)
+
+
+def test_partner_families_match_scan():
+    # the families list exactly the pairs (partner(f + x), f) over every
+    # holomorphic f, here to length 5, and every x to length 5 at n=2
+    holo = [w for w in all_words(2, 5) if all(c > 0 for c in w)]
+    families_seen = set()
+    for x in all_words(2, 5):
+        scan = {(partner(f + x), f) for f in holo} - {(None, f) for f in holo}
+        pairs, families = partner_families(x)
+        listed = set(pairs)
+        for s1, s2 in families:
+            listed.update((u + s1, u + s2) for u in holo)
+            families_seen.add((len(s1), len(s2)))
+        assert {p for p in listed if len(p[1]) <= 5} == scan, x
+    # not vacuous: families of every shape, with either side padded
+    assert {(0, 0), (1, 0), (0, 1), (3, 0), (0, 3)} <= families_seen
 
 
 def _project_reference(ws, a):

@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from freetoeplitz.toeplitz import (
     annihilation,
     check_adjoint,
     check_compatibility,
+    compat_pairs,
     compat_suite,
     creation,
     format_adjoint_violations,
@@ -23,7 +26,7 @@ from freetoeplitz.toeplitz import (
     symmetry_suite,
 )
 
-from conftest import all_words, compat_enumeration
+from conftest import all_words, compat_enumeration, compat_scan
 
 
 def w(word):
@@ -191,6 +194,57 @@ def test_candidate_checker_matches_enumeration():
             for v in check_compatibility(n, max_len, ws)
         }
         assert checked == compat_enumeration(n, max_len, ws, prune), (n, max_len, mu)
+
+
+def test_compat_pairs_match_scan():
+    # for every g, the pairs listed from g's runs are the pairs that the
+    # closed forms give when tried on every holomorphic word
+    total = 0
+    for n, top in ((1, 8), (2, 5), (3, 4)):
+        for max_len in range(top + 1):
+            holo = [list(itertools.product(range(1, n + 1), repeat=r)) for r in range(max_len + 1)]
+            flat = [f for words in holo for f in words]
+            for g in all_words(n, max_len):
+                pairs = compat_pairs(g, holo)
+                assert pairs == compat_scan(flat, max_len, g), (n, max_len, g)
+                total += len(pairs)
+    # 1,439 + 15,357 + 20,089 of them at the largest max_len of each n
+    assert total == 42701
+
+
+def test_compat_pairing_calls_pinned(monkeypatch):
+    # three pairings per candidate pair: 15,357 pairs at n=2, max_len=5
+    calls = []
+    form_words = WeightSystem.form_words
+
+    def counted(self, f, g):
+        calls.append(None)
+        return form_words(self, f, g)
+
+    monkeypatch.setattr(WeightSystem, "form_words", counted)
+    assert len(check_compatibility(2, 5, WeightSystem.unit(2))) == 8336
+    assert len(calls) == 46071 == 3 * 15357
+
+
+def test_compat_tables_count_every_violation(ws2):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "compat_tables.py"
+    spec = importlib.util.spec_from_file_location("compat_tables", path)
+    tables = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tables)
+    violations = check_compatibility(2, 3, ws2)
+    table = tables.compat_table(2, 3, ws2)
+    counts = [sum(row[p][0] for row in table.values() if p in row) for p in (1, 2)]
+    assert sum(counts) == len(violations)
+    assert counts == [56, 204] and len(table) == 15
+    # each witness is the first violation of its identity in its class
+    for key, row in table.items():
+        for prop, (_, witness) in row.items():
+            assert witness == next(
+                v for v in violations
+                if v.prop == prop and (len(v.f1), len(v.f2), len(v.g)) == key
+            )
+    text = tables.format_table(2, 3, table, 0.0)
+    assert "| 1 | 0 | 3 | 4 | 0 | f1 = `t1`, f2 = `1`, g = `t1*b1*t1`: 0 vs 1 |  |" in text
 
 
 def test_samplers_keep_their_draws():
