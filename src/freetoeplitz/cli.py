@@ -106,13 +106,13 @@ def _build_parser():
 
 def _weights(args):
     n = args.n
-    if getattr(args, "weights", None):
+    if args.weights:
         with open(args.weights) as fh:
             mu = parse_weight_config(fh.read())
         if len(mu) != n:
             raise ValueError("weight file has %d parameters, need %d" % (len(mu), n))
         return WeightSystem(n, mu=mu)
-    if getattr(args, "mu", None):
+    if args.mu:
         mu = [parse_rational(p) for p in args.mu.split(",")]
         if len(mu) != n:
             raise ValueError("--mu has %d parameters, need %d" % (len(mu), n))

@@ -43,7 +43,6 @@ class _Lexer:
     def __init__(self, text, n):
         self.text = text
         self.n = n
-        self.pos = 0
         self.tokens = []
         self._scan()
         self.k = 0

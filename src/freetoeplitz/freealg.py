@@ -33,8 +33,14 @@ def is_holomorphic_word(word):
     return all(c > 0 for c in word)
 
 
-def run_ends(word):
-    """Ends of the leading run of a word and of the opposite run after it."""
+def split_block(word):
+    """A word's first block, as (k, r, rest).
+
+    k is the leading run (the letters of the first letter's kind), r is
+    ``word_star`` of the opposite run after it, and rest is what follows,
+    so k + word_star(r) + rest == word; k and r have the same kind.  All
+    three are empty for the empty word.
+    """
     s = 1 if word and word[0] > 0 else -1
     m = len(word)
     p = 0
@@ -43,7 +49,12 @@ def run_ends(word):
     q = p
     while q < m and word[q] * s < 0:
         q += 1
-    return p, q
+    return word[:p], word_star(word[p:q]), word[q:]
+
+
+def balance(word):
+    """Theta-balance: t letters minus b letters; pairings preserve it."""
+    return sum(1 if c > 0 else -1 for c in word)
 
 
 # the imaginary part of every real Scalar, so that a real value is

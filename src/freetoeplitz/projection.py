@@ -3,10 +3,10 @@
 ``project_word`` uses the closed form: a word pairs nonzero with at most
 one holomorphic word, its ``partner``, so the expansion over the
 orthonormal basis has at most one surviving candidate.  For a
-theta-initial word with run decomposition (k, l, tail) that is the
-prefix of k left over after the reversed mid-run l is peeled off its
-end.  ``project_oracle`` evaluates the defining basis sum by brute force
-and exists purely as an independent cross-check.
+theta-initial word whose first block is (k, r) that is the prefix of k
+left over after r is peeled off its end.  ``project_oracle`` evaluates
+the defining basis sum by brute force and exists purely as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -14,24 +14,24 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .freealg import AlgebraElement, Scalar, run_ends, theta_word, word_star
+from .freealg import AlgebraElement, Scalar, balance, split_block, theta_word, word_star
 
 
 def partner(h):
     """The only holomorphic word that can pair nonzero with the word h.
 
-    The empty word when h is empty or bar-initial.  Otherwise, with head
-    run k (the leading run) and mid run l (the opposite run after it), as
-    ``run_ends`` finds them, the prefix k[:len(k) - len(l)] when k ends
-    with reversed l, and None (no partner) when it does not.
+    The empty word when h is empty or bar-initial.  Otherwise, with h's
+    first block split by ``split_block`` into the head run k and the
+    starred mid run r, the prefix of k left when r is cut off its end,
+    and None (no partner) when k does not end with r.
     """
     if not h or h[0] < 0:
         return ()
-    t, q = run_ends(h)
-    i = 2 * t - q
-    if i < 0 or h[i:t] != word_star(h[t:q]):
+    k, r, _ = split_block(h)
+    i = len(k) - len(r)
+    if i < 0 or k[i:] != r:
         return None
-    return h[:i]
+    return k[:i]
 
 
 def partner_families(x):
@@ -40,16 +40,15 @@ def partner_families(x):
     Inverts ``partner``'s closed form.  Returns (pairs, families): the
     pairs listed, and for each (s1, s2) in families the pairs
     (u + s1, u + s2) for every holomorphic word u.  For x theta-initial
-    with head run k, mid run l and r = rev(l), f merges into k, so only
-    f's last len(l) - len(k) letters are constrained.
+    with first block (k, r), f merges into k, so only f's last
+    len(r) - len(k) letters are constrained.
     """
     if not x:
         return [], [((), ())]
-    p, q = run_ends(x)
+    k, r, _ = split_block(x)
     if x[0] < 0:
-        return [((), ())], [((), word_star(x[:p]))]
-    k, r = x[:p], word_star(x[p:q])
-    d = p - len(r)
+        return [((), ())], [((), word_star(k))]
+    d = len(k) - len(r)
     if d >= 0:
         return [], [(k[:d], ())] if k[d:] == r else []
     return [], [((), r[:-d])] if r[-d:] == k else []
@@ -87,7 +86,7 @@ def project_oracle(ws, g, slack=None):
     """
     g = tuple(g)
     if slack is None:
-        bal = sum(1 if c > 0 else -1 for c in g)
+        bal = balance(g)
         lengths = [bal] if bal >= 0 else []
     else:
         lengths = range(len(g) + slack + 1)

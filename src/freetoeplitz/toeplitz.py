@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .expr import format_element, format_scalar, format_word
-from .freealg import AlgebraElement, Scalar, run_ends, swap_alphabet, word_star
+from .freealg import AlgebraElement, Scalar, balance, split_block, swap_alphabet, word_star
 from .projection import partner, partner_families, project
 
 
@@ -225,25 +225,23 @@ def compat_pairs(g, holo):
     The pairs come sorted by f2, then f1.
     """
     max_len = len(holo) - 1
-    bal = sum(1 if c > 0 else -1 for c in g)
+    bal = balance(g)
     pairs1, fams1 = partner_families(g)
     pairs2, fams2 = partner_families(word_star(g))
     pairs = pairs1 + [(f1, f2) for f2, f1 in pairs2]
     fams = [((),) + fam for fam in fams1] + [((), b, a) for a, b in fams2]
     # <f1 f2*, g>: for g bar-initial f1 is empty and rev(f2) is the
     # partner of g with its letter kinds swapped; otherwise f1 + r = k + f2
-    # for g's head run k and reversed mid run r, so f1 is k + u or a
-    # proper prefix of k that r completes
+    # for g's first block (k, r), so f1 is k + u or a proper prefix of k
+    # that r completes
     if g and g[0] < 0:
         f2 = partner(swap_alphabet(g))
         pairs += [((), f2[::-1])] if f2 is not None else []
     else:
-        p, q = run_ends(g)
-        k, r = g[:p], word_star(g[p:q])
+        k, r, _ = split_block(g)
+        p = len(k)
         fams.append((k, (), r))
-        pairs += [
-            (k[:j], r[p - j:]) for j in range(max(0, 2 * p - q), p) if r[:p - j] == k[j:]
-        ]
+        pairs += [(k[:j], r[p - j:]) for j in range(p) if r[:p - j] == k[j:]]
     out = {
         pair for pair in pairs
         if len(pair[0]) == len(pair[1]) + bal and max(map(len, pair)) <= max_len

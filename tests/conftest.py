@@ -4,7 +4,7 @@ import random
 import pytest
 
 from freetoeplitz.form import WeightSystem
-from freetoeplitz.freealg import run_ends, swap_alphabet, word_star
+from freetoeplitz.freealg import split_block, swap_alphabet, word_star
 from freetoeplitz.projection import partner
 
 
@@ -63,17 +63,17 @@ def glue_partner(f1, g):
     """The only holomorphic word f2 for which <f1 f2*, g> can be nonzero.
 
     None when there is none.  The kernel's first gluing step fixes f2: for
-    g empty or theta-initial, with head run k and mid run l,
-    f1 + rev(l) = k + f2 (for f1 empty that gives f2 = () whenever
+    g empty or theta-initial, with first block (k, r) from ``split_block``,
+    f1 + r = k + f2 (for f1 empty that gives f2 = () whenever
     <(), g> is nonzero); for g bar-initial, f1 is empty and rev(f2) is
     the partner of g with its letter kinds swapped.
     """
     if g and g[0] < 0:
         f2 = None if f1 else partner(swap_alphabet(g))
         return None if f2 is None else f2[::-1]
-    t, q = run_ends(g)
-    glued = f1 + word_star(g[t:q])
-    return glued[t:] if glued[:t] == g[:t] else None
+    k, r, _ = split_block(g)
+    glued = f1 + r
+    return glued[len(k):] if glued[:len(k)] == k else None
 
 
 def compat_scan(holo, max_len, g):

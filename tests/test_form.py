@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from freetoeplitz.freealg import AlgebraElement, Scalar, theta_word
+from freetoeplitz.freealg import AlgebraElement, Scalar, swap_alphabet, theta_word
 from freetoeplitz.form import WeightSystem, parse_rational, parse_weight_config
 
 from conftest import all_words, random_word
@@ -143,16 +143,19 @@ def test_star_shift_for_holomorphic_symbols(ws23):
         assert lhs == rhs
 
 
-def test_recursion_depth_bound(ws2):
+def test_recursion_depth_bound():
     # each factor consumes at least two letters, so the factor count is
-    # bounded by the total length
+    # bounded by half the total length; the kernel's one loop also relies
+    # on the pairing being symmetric and on swap_alphabet fixing it
     from freetoeplitz.kernel import form_factors
 
     for f in all_words(2, 4):
         for g in all_words(2, 4):
             factors = form_factors(f, g)
             if factors is not None:
-                assert len(factors) <= len(f) + len(g) + 1
+                assert 2 * len(factors) <= len(f) + len(g)
+            assert factors == form_factors(g, f)
+            assert factors == form_factors(swap_alphabet(f), swap_alphabet(g))
 
 
 def _pinned_pairs():

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from freetoeplitz.freealg import (
     AlgebraElement,
     Scalar,
-    run_ends,
+    split_block,
     swap_alphabet,
     word_star,
 )
@@ -29,8 +29,10 @@ gaussians = st.one_of(
 
 
 @given(words.filter(lambda w: len(w) > 0))
-def test_run_ends_runs_are_maximal(w):
-    p, q = run_ends(w)
+def test_split_block_runs_are_maximal(w):
+    k, r, rest = split_block(w)
+    assert k + word_star(r) + rest == w
+    p, q = len(k), len(k) + len(r)
     first = w[0] > 0
     assert 1 <= p <= q <= len(w)
     assert all((c > 0) == first for c in w[:p])
