@@ -11,17 +11,18 @@ everything is safe to share between threads.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
 def swap_alphabet(word):
     """Letter-kind involution: t_j <-> b_j, index and order preserved."""
-    return tuple(-c for c in word)
+    return tuple(map(operator.neg, word))
 
 
 def word_star(word):
     """Reverse the word and flip every letter's kind."""
-    return tuple(-c for c in reversed(word))
+    return tuple(map(operator.neg, reversed(word)))
 
 
 def theta_word(indices):

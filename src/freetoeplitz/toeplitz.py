@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 from .expr import format_element, format_scalar, format_word
 from .freealg import AlgebraElement, Scalar, balance, split_block, swap_alphabet, word_star
+from .kernel import glue_step
 from .projection import partner, partner_families, project
 
 
@@ -216,43 +217,49 @@ def compat_pairs(g, holo):
 
     holo[r] lists the holomorphic words of length r, for r up to max_len.
     Each side of the identities pairs nonzero for at most one pair per
-    holomorphic word: <f1, f2 g> fixes f1 = partner(f2 g); <f1 g*, f2>
-    fixes f2 = partner(f1 g*), as word pairings are real and symmetric;
-    and <f1 f2*, g> fixes f2 once f1 is glued to g's head run.  Each set
-    of pairs is listed from g's runs, in families (a + u + b, u + c) over
-    holomorphic u, and kept only within max_len and where
-    len(f1) = len(f2) + balance(g), outside which every side is zero.
-    The pairs come sorted by f2, then f1.
+    holomorphic word: side 1, <f1, f2 g>, fixes f1 = partner(f2 g);
+    side 2, <f1 g*, f2>, fixes f2 = partner(f1 g*), as word pairings are
+    real and symmetric; and side 4, <f1 f2*, g>, fixes f2 once f1 is
+    glued to g's head run.  Each side's pairs are listed from g's runs,
+    in families (a + u + b, u + c) over holomorphic u, and kept only
+    within max_len and where len(f1) = len(f2) + balance(g), outside
+    which every side is zero.  Returns (f1, f2, mask) triples sorted by
+    f2, then f1, where mask is the sum of the sides that listed the
+    pair; every side outside the mask pairs to zero.
     """
     max_len = len(holo) - 1
     bal = balance(g)
     pairs1, fams1 = partner_families(g)
     pairs2, fams2 = partner_families(word_star(g))
-    pairs = pairs1 + [(f1, f2) for f2, f1 in pairs2]
-    fams = [((),) + fam for fam in fams1] + [((), b, a) for a, b in fams2]
+    pairs = [pair + (1,) for pair in pairs1] + [(f1, f2, 2) for f2, f1 in pairs2]
+    fams = [((),) + fam + (1,) for fam in fams1] + [((), b, a, 2) for a, b in fams2]
     # <f1 f2*, g>: for g bar-initial f1 is empty and rev(f2) is the
     # partner of g with its letter kinds swapped; otherwise f1 + r = k + f2
     # for g's first block (k, r), so f1 is k + u or a proper prefix of k
     # that r completes
     if g and g[0] < 0:
         f2 = partner(swap_alphabet(g))
-        pairs += [((), f2[::-1])] if f2 is not None else []
+        pairs += [((), f2[::-1], 4)] if f2 is not None else []
     else:
         k, r, _ = split_block(g)
         p = len(k)
-        fams.append((k, (), r))
-        pairs += [(k[:j], r[p - j:]) for j in range(p) if r[:p - j] == k[j:]]
-    out = {
-        pair for pair in pairs
-        if len(pair[0]) == len(pair[1]) + bal and max(map(len, pair)) <= max_len
-    }
-    for a, b, c in fams:
+        fams.append((k, (), r, 4))
+        pairs += [(k[:j], r[p - j:], 4) for j in range(p) if r[:p - j] == k[j:]]
+    masks = {}
+    for f1, f2, side in pairs:
+        if len(f1) == len(f2) + bal and max(len(f1), len(f2)) <= max_len:
+            masks[f1, f2] = masks.get((f1, f2), 0) | side
+    for a, b, c, side in fams:
         if len(a) + len(b) == len(c) + bal:
             room = max_len - max(len(a) + len(b), len(c))
-            out.update(
-                (a + u + b, u + c) for length in range(room + 1) for u in holo[length]
-            )
-    return sorted(out, key=lambda pair: (len(pair[1]), pair[1], pair[0]))
+            for length in range(room + 1):
+                for u in holo[length]:
+                    pair = (a + u + b, u + c)
+                    masks[pair] = masks.get(pair, 0) | side
+    return sorted(
+        ((f1, f2, mask) for (f1, f2), mask in masks.items()),
+        key=lambda t: (len(t[1]), t[1], t[0]),
+    )
 
 
 def check_compatibility(n, max_len, ws):
@@ -260,20 +267,38 @@ def check_compatibility(n, max_len, ws):
 
     f1 and f2 range over the holomorphic words and g over all words of
     length at most max_len.  Only the pairs of ``compat_pairs`` are
-    evaluated; every violation is among them.  Violations come ordered
-    by g, then f2, then f1.
+    evaluated, and of each pair only the sides in its mask; every other
+    side is zero.  Each side pairs a one-block word with another word:
+    f1 in <f1, f2 g>, f2 in <f1 g*, f2> and f1 f2* in <f1 f2*, g>.  So
+    the kernel's first ``glue_step`` exhausts that word, and what is left
+    is the pairing of a suffix of g or g* with the empty word, which is
+    computed once per suffix.  Violations come ordered by g, then f2,
+    then f1.
     """
     letters = [c for j in range(1, n + 1) for c in (j, -j)]
     holo = [list(itertools.product(range(1, n + 1), repeat=r)) for r in range(max_len + 1)]
+    zero = Fraction(0)
+    tail = {}
+
+    def side(block, word):
+        step = glue_step(block, word)
+        if step is None:
+            return zero
+        factor, _, rest = step
+        value = tail.get(rest)
+        if value is None:
+            value = tail[rest] = ws.form_words(rest, ())
+        return ws.weight(factor) * value if value else zero
+
     violations = []
     for g in (w for r in range(max_len + 1) for w in itertools.product(letters, repeat=r)):
         gs = word_star(g)
-        for f1, f2 in compat_pairs(g, holo):
-            lhs = ws.form_words(f1, f2 + g)
-            rhs1 = ws.form_words(f1 + gs, f2)
+        for f1, f2, mask in compat_pairs(g, holo):
+            lhs = side(f1, f2 + g) if mask & 1 else zero
+            rhs1 = side(f2, f1 + gs) if mask & 2 else zero
             if lhs != rhs1:
                 violations.append(CompatibilityViolation(1, f1, f2, g, lhs, rhs1))
-            rhs2 = ws.form_words(f1 + word_star(f2), g)
+            rhs2 = side(f1 + word_star(f2), g) if mask & 4 else zero
             if lhs != rhs2:
                 violations.append(CompatibilityViolation(2, f1, f2, g, lhs, rhs2))
     return violations

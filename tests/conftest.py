@@ -6,6 +6,7 @@ import pytest
 from freetoeplitz.form import WeightSystem
 from freetoeplitz.freealg import split_block, swap_alphabet, word_star
 from freetoeplitz.projection import partner
+from freetoeplitz.toeplitz import CompatibilityViolation, compat_pairs
 
 
 @pytest.fixture
@@ -81,18 +82,50 @@ def compat_scan(holo, max_len, g):
 
     Tries the three closed forms on each word f of holo, the holomorphic
     words of length at most max_len; keeps the pairs within max_len with
-    len(f1) = len(f2) + balance(g) and sorts them by f2, then f1.  The
-    oracle for ``toeplitz.compat_pairs``.
+    len(f1) = len(f2) + balance(g) and sorts them by f2, then f1.  Each
+    pair comes as (f1, f2, mask), where mask sums the sides whose closed
+    form gave it: 1 for <f1, f2 g>, 2 for <f1 g*, f2>, 4 for <f1 f2*, g>.
+    The oracle for ``toeplitz.compat_pairs``.
     """
     bal = sum(1 if c > 0 else -1 for c in g)
     gs = word_star(g)
-    pairs = set()
+    masks = {}
     for f in holo:
         candidates = (
-            (partner(f + g), f), (f, partner(f + gs)), (f, glue_partner(f, g))
+            (partner(f + g), f, 1), (f, partner(f + gs), 2), (f, glue_partner(f, g), 4)
         )
-        pairs.update(p for p in candidates if None not in p)
+        for f1, f2, side in candidates:
+            if None not in (f1, f2):
+                masks[f1, f2] = masks.get((f1, f2), 0) | side
     return sorted(
-        (p for p in pairs if len(p[0]) == len(p[1]) + bal and max(map(len, p)) <= max_len),
-        key=lambda p: (len(p[1]), p[1], p[0]),
+        (
+            (f1, f2, mask) for (f1, f2), mask in masks.items()
+            if len(f1) == len(f2) + bal and max(len(f1), len(f2)) <= max_len
+        ),
+        key=lambda t: (len(t[1]), t[1], t[0]),
     )
+
+
+def compat_per_pair(n, max_len, ws):
+    """Violations of both identities, three pairings per candidate pair.
+
+    Evaluates all three sides of every pair of ``toeplitz.compat_pairs``
+    with ``ws.form_words``, whatever its mask, and orders the violations
+    by g, then f2, then f1.  The oracle for
+    ``toeplitz.check_compatibility``, which zeroes the sides outside the
+    mask and evaluates the others by one glue step and a shared tail.
+    """
+    letters = [c for j in range(1, n + 1) for c in (j, -j)]
+    holo = [list(itertools.product(range(1, n + 1), repeat=r)) for r in range(max_len + 1)]
+    violations = []
+    for g in (w for r in range(max_len + 1) for w in itertools.product(letters, repeat=r)):
+        gs = word_star(g)
+        for f1, f2, _ in compat_pairs(g, holo):
+            lhs = ws.form_words(f1, f2 + g)
+            rhs1 = ws.form_words(f1 + gs, f2)
+            if lhs != rhs1:
+                violations.append(CompatibilityViolation(1, f1, f2, g, lhs, rhs1))
+            rhs2 = ws.form_words(f1 + word_star(f2), g)
+            if lhs != rhs2:
+                violations.append(CompatibilityViolation(2, f1, f2, g, lhs, rhs2))
+    return violations

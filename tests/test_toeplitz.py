@@ -26,7 +26,7 @@ from freetoeplitz.toeplitz import (
     symmetry_suite,
 )
 
-from conftest import all_words, compat_enumeration, compat_scan
+from conftest import all_words, compat_enumeration, compat_per_pair, compat_scan
 
 
 def w(word):
@@ -198,7 +198,9 @@ def test_candidate_checker_matches_enumeration():
 
 def test_compat_pairs_match_scan():
     # for every g, the pairs listed from g's runs are the pairs that the
-    # closed forms give when tried on every holomorphic word
+    # closed forms give when tried on every holomorphic word, and each
+    # pair's mask names every side whose closed form gave it: a missing
+    # bit would zero a side that the checker never evaluates
     total = 0
     for n, top in ((1, 8), (2, 5), (3, 4)):
         for max_len in range(top + 1):
@@ -212,18 +214,49 @@ def test_compat_pairs_match_scan():
     assert total == 42701
 
 
+def test_checker_matches_per_pair_oracle():
+    # ordered lists with exact values: one glue step per listed side and
+    # a memoised tail give what three full pairings per pair give
+    cases = [(1, L, (2,)) for L in range(9)]
+    cases += [(2, L, (2, 3)) for L in range(6)]
+    cases += [(3, L, (2, 3, 5)) for L in range(5)]
+    for n, max_len, mu in cases:
+        ws = WeightSystem(n, mu=mu)
+        assert check_compatibility(n, max_len, ws) == compat_per_pair(n, max_len, ws), (n, mu)
+    # a glued factor can be twice max_len long, so each table reaches 2L
+    for n, max_len in ((1, 8), (2, 4), (3, 3)):
+        rnd = random.Random(n)
+        table = {
+            i: Fraction(rnd.randint(1, 9), rnd.randint(1, 5))
+            for r in range(1, 2 * max_len + 1)
+            for i in itertools.product(range(1, n + 1), repeat=r)
+        }
+        ws = WeightSystem.custom(n, table)
+        assert check_compatibility(n, max_len, ws) == compat_per_pair(n, max_len, ws), n
+
+
 def test_compat_pairing_calls_pinned(monkeypatch):
-    # three pairings per candidate pair: 15,357 pairs at n=2, max_len=5
-    calls = []
+    # 15,357 pairs at n=2, max_len=5 hold 18,333 listed sides, one glue
+    # step each; their 57 distinct tails are paired once (three full
+    # pairings per pair made 46,071 calls)
+    steps = []
+    glue_step = toeplitz.glue_step
+
+    def counted_step(f, g):
+        steps.append(None)
+        return glue_step(f, g)
+
+    tails = []
     form_words = WeightSystem.form_words
 
     def counted(self, f, g):
-        calls.append(None)
+        tails.append(None)
         return form_words(self, f, g)
 
+    monkeypatch.setattr(toeplitz, "glue_step", counted_step)
     monkeypatch.setattr(WeightSystem, "form_words", counted)
     assert len(check_compatibility(2, 5, WeightSystem.unit(2))) == 8336
-    assert len(calls) == 46071 == 3 * 15357
+    assert (len(steps), len(tails)) == (18333, 57)
 
 
 def test_compat_tables_count_every_violation(ws2):
