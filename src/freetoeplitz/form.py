@@ -63,8 +63,10 @@ class WeightSystem:
         if self.mu is not None:
             out = self._memo.get(i)
             if out is None:
-                out = Fraction(1)
-                for j in i:
+                # a memoised prefix leaves one factor to multiply in
+                prefix = self._memo.get(i[:-1])
+                out, tail = (Fraction(1), i) if prefix is None else (prefix, i[-1:])
+                for j in tail:
                     if not 1 <= j <= self.n:
                         raise ValueError("multi-index entry out of range: %d" % j)
                     out *= self.mu[j - 1]

@@ -3,10 +3,13 @@
 ``project_word`` uses the closed form: a word pairs nonzero with at most
 one holomorphic word, its ``partner``, so the expansion over the
 orthonormal basis has at most one surviving candidate.  For a
-theta-initial word whose first block is (k, r) that is the prefix of k
-left over after r is peeled off its end.  ``project_oracle`` evaluates
-the defining basis sum by brute force and exists purely as an
-independent cross-check.
+theta-initial word whose first block is (k, r) that is the prefix i of k
+left over after r is peeled off its end; the kernel's first glue step
+exhausts it, so the value is w(k) <rest, 1> / w(i) from one split.
+``project(ws, a, b)`` sums the images of the pairs of terms of a and b
+and never builds the product a * b.  ``project_oracle`` evaluates the
+defining basis sum by brute force and exists purely as an independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -17,6 +20,15 @@ from fractions import Fraction
 from .freealg import AlgebraElement, Scalar, balance, split_block, theta_word, word_star
 
 
+def _first_block(h):
+    """partner(h), plus k and rest of h's first block (k is None unless theta-initial)."""
+    if not h or h[0] < 0:
+        return (), None, h
+    k, r, rest = split_block(h)
+    i = len(k) - len(r)
+    return (k[:i] if i >= 0 and k[i:] == r else None), k, rest
+
+
 def partner(h):
     """The only holomorphic word that can pair nonzero with the word h.
 
@@ -25,13 +37,7 @@ def partner(h):
     starred mid run r, the prefix of k left when r is cut off its end,
     and None (no partner) when k does not end with r.
     """
-    if not h or h[0] < 0:
-        return ()
-    k, r, _ = split_block(h)
-    i = len(k) - len(r)
-    if i < 0 or k[i:] != r:
-        return None
-    return k[:i]
+    return _first_block(h)[0]
 
 
 def partner_families(x):
@@ -56,22 +62,27 @@ def partner_families(x):
 
 def project_word(ws, g):
     """Projection of a single word, as a canonical element."""
-    g = tuple(g)
-    i = partner(g)
-    c = ws.form_words(i, g) if i is not None else 0
+    i, k, rest = _first_block(tuple(g))
+    c = ws.form_words(rest, ()) if i is not None else 0
     if not c:
         return AlgebraElement.zero()
-    return AlgebraElement.from_word(i, Scalar(c / ws.weight(i)))
+    if k is not None:
+        c = ws.weight(k) * c / ws.weight(i)
+    return AlgebraElement.from_word(i, Scalar(c))
 
 
-def project(ws, a):
-    """Linear extension of project_word; idempotent with holomorphic range."""
+def project(ws, a, b=AlgebraElement.one()):
+    """P(a * b), b = 1 by default, summed pair by pair; a * b is never built.
+
+    Linear extension of project_word; idempotent with holomorphic range.
+    """
     out = {}
-    for w, c in a.items():
-        for i, v in project_word(ws, w).items():
-            v = c * v
-            prev = out.get(i)
-            out[i] = v if prev is None else prev + v
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            for i, v in project_word(ws, wa + wb).items():
+                v = ca * cb * v
+                prev = out.get(i)
+                out[i] = v if prev is None else prev + v
     return AlgebraElement(out)
 
 

@@ -15,6 +15,7 @@ original word, so an outcome can be replayed and audited.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 
@@ -74,24 +75,25 @@ def scan_project(word, strategy, seed=None):
     elif not isinstance(strategy, LeftRightRightmost):
         raise TypeError("unknown strategy: %r" % (strategy,))
     alive = [True] * len(word)
+    # the alive theta positions of each index, in increasing order
+    thetas = {}
     eliminations = []
     for pos, c in enumerate(word):
         if c >= 0:
+            thetas.setdefault(c, []).append(pos)
             continue
-        j = -c
-        eligible = [
-            q for q in range(pos) if alive[q] and word[q] == j
-        ]
+        eligible = thetas.get(-c)
         if not eligible:
             eliminations.append((pos, None))
             return ScanOutcome(None, tuple(eliminations))
         if rnd is None:
-            mate = eligible[-1]
+            mate = eligible.pop()
         else:
             if rnd.random() >= strategy.p:
                 eliminations.append((pos, None))
                 return ScanOutcome(None, tuple(eliminations))
             mate = rnd.choice(eligible)
+            del eligible[bisect.bisect_left(eligible, mate)]
         alive[pos] = False
         alive[mate] = False
         eliminations.append((pos, mate))

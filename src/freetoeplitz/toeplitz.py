@@ -31,7 +31,7 @@ class ToeplitzOperator:
     def apply(self, phi):
         if not phi.is_holomorphic():
             raise ValueError("argument must lie in the holomorphic subalgebra")
-        return project(self.weights, phi * self.symbol)
+        return project(self.weights, phi, self.symbol)
 
     __call__ = apply
 

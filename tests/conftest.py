@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -30,6 +31,18 @@ def random_word(rnd: random.Random, n, max_len, holomorphic=False):
     if holomorphic:
         return tuple(rnd.randint(1, n) for _ in range(length))
     return tuple(rnd.choice((1, -1)) * rnd.randint(1, n) for _ in range(length))
+
+
+def custom_weights(rnd, n, max_len):
+    """Custom weights: a random positive value on each multi-index to max_len.
+
+    Not multiplicative, so no rule of product weights can stand in for it.
+    """
+    return WeightSystem.custom(n, {
+        i: Fraction(rnd.randint(1, 9), rnd.randint(1, 9))
+        for r in range(1, max_len + 1)
+        for i in itertools.product(range(1, n + 1), repeat=r)
+    })
 
 
 def compat_enumeration(n, max_len, ws, prune):
@@ -129,3 +142,28 @@ def compat_per_pair(n, max_len, ws):
             if lhs != rhs2:
                 violations.append(CompatibilityViolation(2, f1, f2, g, lhs, rhs2))
     return violations
+
+
+def scan_oracle(word, p=None, seed=None):
+    """Rescanning form of ``scanproj.scan_project``, as (result, eliminations).
+
+    For each bar letter it lists the alive earlier thetas of its index by
+    scanning the whole prefix, so it is quadratic in the word's length.
+    p=None pairs with the rightmost of them; otherwise the Bernoulli(p)
+    draw and the uniform choice come from random.Random(seed), in the
+    order of the stochastic strategy.  The oracle for ``scan_project``.
+    """
+    rnd = None if p is None else random.Random(seed)
+    alive = [True] * len(word)
+    eliminations = []
+    for pos, c in enumerate(word):
+        if c >= 0:
+            continue
+        eligible = [q for q in range(pos) if alive[q] and word[q] == -c]
+        if not eligible or (rnd is not None and rnd.random() >= p):
+            eliminations.append((pos, None))
+            return None, tuple(eliminations)
+        mate = eligible[-1] if rnd is None else rnd.choice(eligible)
+        alive[pos] = alive[mate] = False
+        eliminations.append((pos, mate))
+    return tuple(c for q, c in enumerate(word) if alive[q]), tuple(eliminations)

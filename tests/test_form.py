@@ -37,11 +37,15 @@ def test_weight_memo_long_index():
 
 
 def test_weight_out_of_range_never_cached():
-    ws = WeightSystem(2, mu=(2, 3))
-    for _ in range(2):
-        with pytest.raises(ValueError, match="out of range: 3"):
-            ws.weight((1, 3))
-    assert ws.weight((1, 2)) == 6
+    # the second round has w(1) memoised, so it takes the one-step path
+    for prefix_memoised in (False, True):
+        ws = WeightSystem(2, mu=(2, 3))
+        if prefix_memoised:
+            assert ws.weight((1,)) == 2
+        for _ in range(2):
+            with pytest.raises(ValueError, match="out of range: 3"):
+                ws.weight((1, 3))
+        assert ws.weight((1, 2)) == 6
 
 
 def test_weight_custom_mode():

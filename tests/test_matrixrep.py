@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from freetoeplitz import form, projection
+from freetoeplitz.expr import parse_element
 from freetoeplitz.freealg import AlgebraElement, Scalar, theta_word, word_star
 from freetoeplitz.form import WeightSystem
 from freetoeplitz.toeplitz import ToeplitzOperator, random_element, random_holomorphic
@@ -237,3 +239,27 @@ def test_sparse_adjoint_defect_matches_dense_formula(n, degree, mu):
         a = dense_reference(ws, g, space)
         b = dense_reference(ws, g.star(), space)
         assert adjoint_defect(ws, g, space) == np.abs(a - b.conj().T).max()
+
+
+def test_projection_work_pinned(monkeypatch):
+    # at n=2 L=6 the 127 columns of b1*t2 + t1 + 1/2*b2 give 381 product
+    # words, 379 of them theta-initial: one split each gives both the
+    # partner and the value; 255 of them have a partner, and only their
+    # tails <rest, 1> reach the kernel
+    splits, pairings = [], []
+    split_block, form_factors = projection.split_block, form.form_factors
+
+    def counted_split(word):
+        splits.append(None)
+        return split_block(word)
+
+    def counted_pairing(f, g):
+        pairings.append(None)
+        return form_factors(f, g)
+
+    monkeypatch.setattr(projection, "split_block", counted_split)
+    monkeypatch.setattr(form, "form_factors", counted_pairing)
+    g = parse_element("b1*t2 + t1 + 1/2*b2", 2)
+    m = matrix_of(WeightSystem(2, mu=(2, 3)), g, TruncatedSpace.build(2, 6))
+    assert len(m.values) == 126
+    assert (len(splits), len(pairings)) == (379, 255)

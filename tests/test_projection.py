@@ -15,7 +15,7 @@ from freetoeplitz.projection import (
     project_word,
 )
 
-from conftest import all_words, glue_partner
+from conftest import all_words, custom_weights, glue_partner
 
 
 def test_project_word_examples(ws2):
@@ -173,3 +173,27 @@ def test_project_matches_termwise_sum(mu):
         shared += sum(1 for q in images if q) > len(p.terms)
     # not vacuous: terms often share their partner, summed or cancelled
     assert shared > 50
+
+
+def test_oracle_equivalence_custom_weights():
+    ws = custom_weights(random.Random(29), 2, 5)
+    nonzero = 0
+    for w in all_words(2, 5):
+        p = project_word(ws, w)
+        assert p == project_oracle(ws, w), w
+        nonzero += bool(p)
+    # not vacuous: every holomorphic word and many others project nonzero
+    assert nonzero > 100
+
+
+def test_project_word_undefined_weight_raises():
+    # t1*t2*b2 has the first block k = t1*t2 and the partner t1; the
+    # value needs w(1, 2) and w(1), and a table missing either raises
+    full = {(1,): 2, (2,): 3, (1, 2): 5}
+    assert project_word(WeightSystem.custom(2, full), (1, 2, -2)) == (
+        Scalar(Fraction(5, 2)) * AlgebraElement.from_word((1,))
+    )
+    for missing in ((1, 2), (1,)):
+        table = {i: v for i, v in full.items() if i != missing}
+        with pytest.raises(ValueError, match="weight undefined"):
+            project_word(WeightSystem.custom(2, table), (1, 2, -2))

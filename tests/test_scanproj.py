@@ -11,6 +11,8 @@ from freetoeplitz.scanproj import (
     scan_project,
 )
 
+from conftest import all_words, scan_oracle
+
 LRR = LeftRightRightmost()
 
 
@@ -108,3 +110,18 @@ def test_disagrees_with_form_projection_in_general():
     # projection gives w(1) * identity
     assert scan_project((-1, 1), LRR).is_zero
     assert not project_word(ws, (-1, 1)).is_zero()
+
+
+def test_scan_matches_rescanning_oracle():
+    # every word at n=2 to length 7, rightmost and stochastic, same draws
+    strategies = [(LRR, None, None)] + [
+        (Stochastic(p), p, seed) for p in (0.5, 1.0) for seed in (0, 1, 7)
+    ]
+    paired = 0
+    for word in all_words(2, 7):
+        for strategy, p, seed in strategies:
+            out = scan_project(word, strategy, seed)
+            assert (out.result, out.eliminations) == scan_oracle(word, p, seed), word
+            paired += out.result is not None and len(out.eliminations) > 1
+    # not vacuous: many scans pair more than one bar letter
+    assert paired > 10000

@@ -9,6 +9,7 @@ import pytest
 from freetoeplitz.freealg import AlgebraElement, Scalar, theta_word, word_star
 from freetoeplitz import toeplitz
 from freetoeplitz.form import WeightSystem
+from freetoeplitz.projection import project_word
 from freetoeplitz.toeplitz import (
     CounterexampleValues,
     ToeplitzOperator,
@@ -26,7 +27,13 @@ from freetoeplitz.toeplitz import (
     symmetry_suite,
 )
 
-from conftest import all_words, compat_enumeration, compat_per_pair, compat_scan
+from conftest import (
+    all_words,
+    compat_enumeration,
+    compat_per_pair,
+    compat_scan,
+    custom_weights,
+)
 
 
 def w(word):
@@ -47,6 +54,51 @@ def test_apply_rejects_non_holomorphic(ws2):
     op = ToeplitzOperator(w((1,)), ws2)
     with pytest.raises(ValueError, match="holomorphic"):
         op.apply(w((-1,)))
+
+
+def _apply_expanded(ws, g, phi):
+    # the product expanded first, then project_word summed term by term
+    out = AlgebraElement.zero()
+    for word, c in (phi * g).items():
+        out = out + c * project_word(ws, word)
+    return out
+
+
+@pytest.mark.parametrize("weights", ["unit", "mu23", "custom"])
+def test_apply_matches_expanded_product(weights):
+    rnd = random.Random(31)
+    ws = {
+        "unit": WeightSystem.unit(2),
+        "mu23": WeightSystem(2, mu=(2, 3)),
+        "custom": custom_weights(rnd, 2, 9),
+    }[weights]
+    cancelled = 0
+    for _ in range(200):
+        phi = random_holomorphic(rnd, 2, max_len=3)
+        g = random_element(rnd, 2, max_len=3)
+        # phi (1 + t) times (t - t t) g drops every phi t t g word in the
+        # expansion; random pairs alone almost never cancel
+        t = w((rnd.randint(1, 2),))
+        for f, h in ((phi, g), (phi * (w(()) + t), (t - t * t) * g)):
+            assert ToeplitzOperator(h, ws).apply(f) == _apply_expanded(ws, h, f)
+            # product words that cancel in the expansion but project nonzero
+            product = f * h
+            cancelled += sum(
+                1 for wa in f.terms for wb in h.terms
+                if wa + wb not in product.terms and project_word(ws, wa + wb)
+            )
+    # not vacuous: apply sums images of words that the expansion drops
+    assert cancelled > 100
+
+
+def test_apply_sums_words_cancelled_in_the_expansion():
+    # (1 + t1)(t1 - t1*t1) = t1 - t1*t1*t1: t1*t1 arises twice with
+    # opposite signs and is projected twice, once from each pair
+    ws = WeightSystem(1, mu=(2,))
+    phi = w(()) + w((1,))
+    g = w((1,)) - w((1, 1))
+    assert (phi * g).terms.keys() == {(1,), (1, 1, 1)}
+    assert ToeplitzOperator(g, ws).apply(phi) == w((1,)) - w((1, 1, 1))
 
 
 def test_quantization_linear(ws23):
