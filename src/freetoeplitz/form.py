@@ -9,11 +9,13 @@ second.
 
 from __future__ import annotations
 
+import math
 import re as _re
 from fractions import Fraction
 
 from .freealg import Scalar
 from .kernel import form_factors
+from .projection import pairing_candidates
 
 
 class WeightSystem:
@@ -82,20 +84,15 @@ class WeightSystem:
         factors = form_factors(tuple(f), tuple(g))
         if factors is None:
             return Fraction(0)
-        out = Fraction(1)
-        for i in factors:
-            out *= self.weight(i)
-        return out
+        return math.prod(map(self.weight, factors), start=Fraction(1))
 
     def form(self, a, b):
-        """Sesquilinear extension: anti-linear in a, linear in b."""
+        """Anti-linear in a, linear in b; sums over the ``pairing_candidates``."""
         out = Scalar(0)
-        for wa, ca in a.items():
-            cac = ca.conjugate()
-            for wb, cb in b.items():
-                v = self.form_words(wa, wb)
-                if v:
-                    out = out + cac * cb * Scalar(v)
+        for wa, ca, wb, cb in pairing_candidates(a, b):
+            v = self.form_words(wa, wb)
+            if v:
+                out = out + ca.conjugate() * cb * Scalar(v)
         return out
 
 

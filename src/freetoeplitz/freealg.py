@@ -67,8 +67,9 @@ class Scalar:
     """Exact Gaussian-rational number re + im*i.
 
     Both components are always ``Fraction``; a zero imaginary part is
-    always the shared ``_ZERO_IM``, and arithmetic on two real values
-    takes a single ``Fraction`` operation.
+    always the shared ``_ZERO_IM``.  Arithmetic on two real values takes
+    a single ``Fraction`` operation, and a product with one real operand
+    takes two.
     """
 
     __slots__ = ("re", "im")
@@ -138,8 +139,10 @@ class Scalar:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        if self.im is _ZERO_IM and other.im is _ZERO_IM:
-            return Scalar(self.re * other.re, _ZERO_IM)
+        if self.im is _ZERO_IM:
+            return Scalar(self.re * other.re, other.im and self.re * other.im)
+        if other.im is _ZERO_IM:
+            return Scalar(self.re * other.re, self.im * other.re)
         return Scalar(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import format_element, format_word
-from .freealg import AlgebraElement, theta_word
+from .freealg import AlgebraElement
 from .toeplitz import ToeplitzOperator
 
 
@@ -94,7 +94,7 @@ def _float_weight(ws, i):
     except OverflowError:
         w = math.inf
     if not 0 < w < math.inf:
-        raise ValueError("weight w(%s) is outside float range" % format_word(theta_word(i)))
+        raise ValueError("weight w(%s) is outside float range" % format_word(i))
     return w
 
 
@@ -111,7 +111,7 @@ def matrix_of(ws, g, space):
     weights = [_float_weight(ws, i) for i in space.basis]
     keys, values = [], []
     for col, k in enumerate(space.basis):
-        image = op.apply(AlgebraElement.from_word(theta_word(k)))
+        image = op.apply(AlgebraElement.from_word(k))
         for w, c in image.items():
             row = space.index.get(w)
             if row is None:

@@ -7,9 +7,16 @@ theta-initial word whose first block is (k, r) that is the prefix i of k
 left over after r is peeled off its end; the kernel's first glue step
 exhausts it, so the value is w(k) <rest, 1> / w(i) from one split.
 ``project(ws, a, b)`` sums the images of the pairs of terms of a and b
-and never builds the product a * b.  ``project_oracle`` evaluates the
-defining basis sum by brute force and exists purely as an independent
-cross-check.
+and never builds the product a * b.  It splits each term of b once, as a
+``PreparedSymbol``: for a nonempty holomorphic word wa the first block
+of wa + wb is (wa + t, r), with t, r and the rest fixed by wb alone, so
+each pair costs the partner test and, on a hit, two weights and the
+term's tail <rest, 1>, computed at its first hit and kept.  A
+``ToeplitzOperator`` prepares its symbol once for all its applications.
+``project_oracle`` evaluates the defining basis sum by brute force and
+exists purely as an independent cross-check.  ``pairing_candidates``
+lists the pairs of terms of two elements that can pair nonzero, by
+partner or by theta-balance; ``WeightSystem.form`` sums over them.
 """
 
 from __future__ import annotations
@@ -17,7 +24,21 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .freealg import AlgebraElement, Scalar, balance, split_block, theta_word, word_star
+from .freealg import (
+    AlgebraElement,
+    Scalar,
+    balance,
+    is_holomorphic_word,
+    split_block,
+    theta_word,
+    word_star,
+)
+
+
+def _cut(k, r):
+    """The prefix of k left when r is cut off its end; None unless k ends with r."""
+    i = len(k) - len(r)
+    return k[:i] if i >= 0 and k[i:] == r else None
 
 
 def _first_block(h):
@@ -25,8 +46,7 @@ def _first_block(h):
     if not h or h[0] < 0:
         return (), None, h
     k, r, rest = split_block(h)
-    i = len(k) - len(r)
-    return (k[:i] if i >= 0 and k[i:] == r else None), k, rest
+    return _cut(k, r), k, rest
 
 
 def partner(h):
@@ -38,6 +58,32 @@ def partner(h):
     and None (no partner) when k does not end with r.
     """
     return _first_block(h)[0]
+
+
+def pairing_candidates(a, b):
+    """The pairs (wa, ca, wb, cb) of terms of a and b whose words can pair nonzero.
+
+    When a side is holomorphic, a term of the other meets at most its
+    ``partner``, looked up in that side's terms; otherwise a term meets
+    the terms of its theta-balance, which pairings preserve.
+    """
+    if b.is_holomorphic():
+        for wa, ca in a.items():
+            p = partner(wa)
+            if p in b.terms:
+                yield wa, ca, p, b.terms[p]
+    elif a.is_holomorphic():
+        for wb, cb in b.items():
+            p = partner(wb)
+            if p in a.terms:
+                yield p, a.terms[p], wb, cb
+    else:
+        by_balance = {}
+        for wb, cb in b.items():
+            by_balance.setdefault(balance(wb), []).append((wb, cb))
+        for wa, ca in a.items():
+            for wb, cb in by_balance.get(balance(wa), ()):
+                yield wa, ca, wb, cb
 
 
 def partner_families(x):
@@ -71,18 +117,63 @@ def project_word(ws, g):
     return AlgebraElement.from_word(i, Scalar(c))
 
 
+class PreparedSymbol:
+    """A right factor b of P(a * b) for the weights ws, each term split once.
+
+    A term wb is kept as (wb, cb, t, r, rest): t is wb's leading theta
+    run (possibly empty), r ``word_star`` of the bar run after it, and
+    rest what follows.  For a nonempty holomorphic word wa the first
+    block of wa + wb is then (wa + t, r), followed by rest.
+    """
+
+    def __init__(self, ws, b):
+        self.ws = ws
+        self.terms = []
+        for wb, cb in b.items():
+            if wb and wb[0] < 0:
+                bars = split_block(wb)[0]
+                self.terms.append((wb, cb, (), word_star(bars), wb[len(bars):]))
+            else:
+                self.terms.append((wb, cb) + split_block(wb))
+        self._tails = {}
+
+    def images(self, wa):
+        """(cb, i, v) for each term cb * wb with P(wa + wb) = v theta_i nonzero."""
+        ws = self.ws
+        if not wa or not is_holomorphic_word(wa):
+            for wb, cb, _, _, _ in self.terms:
+                for i, v in project_word(ws, wa + wb).items():
+                    yield cb, i, v
+            return
+        tails = self._tails
+        for _, cb, t, r, rest in self.terms:
+            k = wa + t
+            i = _cut(k, r)
+            if i is None:
+                continue
+            tail = tails.get(rest)
+            if tail is None:
+                tail = tails[rest] = ws.form_words(rest, ())
+            if tail:
+                yield cb, i, Scalar(ws.weight(k) * tail / ws.weight(i))
+
+
 def project(ws, a, b=AlgebraElement.one()):
     """P(a * b), b = 1 by default, summed pair by pair; a * b is never built.
 
-    Linear extension of project_word; idempotent with holomorphic range.
+    b is an element or a ``PreparedSymbol`` of ws.  Linear extension of
+    project_word; idempotent with holomorphic range.
     """
+    if type(b) is not PreparedSymbol:
+        b = PreparedSymbol(ws, b)
+    elif b.ws is not ws:
+        raise ValueError("symbol prepared for another weight system")
     out = {}
     for wa, ca in a.items():
-        for wb, cb in b.items():
-            for i, v in project_word(ws, wa + wb).items():
-                v = ca * cb * v
-                prev = out.get(i)
-                out[i] = v if prev is None else prev + v
+        for cb, i, v in b.images(wa):
+            v = ca * cb * v
+            prev = out.get(i)
+            out[i] = v if prev is None else prev + v
     return AlgebraElement(out)
 
 

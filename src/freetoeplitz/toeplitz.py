@@ -18,20 +18,25 @@ from typing import NamedTuple
 from .expr import format_element, format_scalar, format_word
 from .freealg import AlgebraElement, Scalar, balance, split_block, swap_alphabet, word_star
 from .kernel import glue_step
-from .projection import partner, partner_families, project
+from .projection import PreparedSymbol, partner, partner_families, project
 
 
 class ToeplitzOperator:
-    """Right-symbol Toeplitz operator phi -> P(phi * symbol)."""
+    """Right-symbol Toeplitz operator phi -> P(phi * symbol).
+
+    The symbol's terms are split once, here, and each term's tail is
+    kept across applications (see ``projection.PreparedSymbol``).
+    """
 
     def __init__(self, symbol, weights):
         self.symbol = symbol
         self.weights = weights
+        self._prepared = PreparedSymbol(weights, symbol)
 
     def apply(self, phi):
         if not phi.is_holomorphic():
             raise ValueError("argument must lie in the holomorphic subalgebra")
-        return project(self.weights, phi, self.symbol)
+        return project(self.weights, phi, self._prepared)
 
     __call__ = apply
 
@@ -106,7 +111,8 @@ def _random_terms(rnd, n, max_terms, max_len, holomorphic):
             for _ in range(length)
         )
         c = rnd.choice(_COEFF_POOL)
-        terms[w] = terms.get(w, Scalar(0)) + c
+        prev = terms.get(w)
+        terms[w] = c if prev is None else prev + c
     return AlgebraElement(terms)
 
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from freetoeplitz.form import WeightSystem
-from freetoeplitz.freealg import split_block, swap_alphabet, word_star
-from freetoeplitz.projection import partner
+from freetoeplitz.freealg import AlgebraElement, Scalar, split_block, swap_alphabet, word_star
+from freetoeplitz.projection import partner, project_word
 from freetoeplitz.toeplitz import CompatibilityViolation, compat_pairs
 
 
@@ -43,6 +43,34 @@ def custom_weights(rnd, n, max_len):
         for r in range(1, max_len + 1)
         for i in itertools.product(range(1, n + 1), repeat=r)
     })
+
+
+def form_all_pairs(ws, a, b):
+    """<a, b> with every term of a paired with every term of b.
+
+    The oracle for ``WeightSystem.form``, which pairs only the terms that
+    ``projection.pairing_candidates`` lists.
+    """
+    out = Scalar(0)
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            v = ws.form_words(wa, wb)
+            if v:
+                out = out + ca.conjugate() * cb * Scalar(v)
+    return out
+
+
+def project_pairwise(ws, a, b):
+    """P(a * b) as the sum of ``project_word`` over every pair of terms.
+
+    The oracle for ``projection.project`` with a prepared right factor:
+    each pair of words is split and projected anew, weights included.
+    """
+    out = AlgebraElement.zero()
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            out = out + ca * cb * project_word(ws, wa + wb)
+    return out
 
 
 def compat_enumeration(n, max_len, ws, prune):

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from freetoeplitz.freealg import AlgebraElement, Scalar, swap_alphabet, theta_word
+from freetoeplitz.freealg import AlgebraElement, Scalar, swap_alphabet, theta_word, word_star
 from freetoeplitz.form import WeightSystem, parse_rational, parse_weight_config
+from freetoeplitz.projection import pairing_candidates
 
-from conftest import all_words, random_word
+from conftest import all_words, custom_weights, form_all_pairs, random_word
 
 
 def test_weight_product_mode():
@@ -116,6 +117,58 @@ def test_complex_symmetry_random():
         a = random_element(rnd, 3)
         b = random_element(rnd, 3)
         assert ws.form(a, b).conjugate() == ws.form(b, a)
+
+
+def _form_sides(rnd, kind):
+    # a holomorphic side, and a mixed side whose words u + u* after a
+    # holomorphic term have that term as partner; the "neither" sides
+    # share words, and a word always pairs nonzero with itself
+    from freetoeplitz.toeplitz import random_element, random_holomorphic
+
+    holo = random_holomorphic(rnd, 2, max_terms=6, max_len=3)
+    u = random_word(rnd, 2, 2, holomorphic=True)
+    mixed = (
+        random_element(rnd, 2, max_terms=6, max_len=4)
+        + holo * AlgebraElement.from_word(u + word_star(u))
+        + AlgebraElement.from_word((2, -1))
+    )
+    if kind == "left":
+        return holo, mixed
+    if kind == "right":
+        return mixed, holo
+    if kind == "both":
+        return holo, Scalar(0, 1) * holo + random_holomorphic(rnd, 2, max_len=4)
+    return mixed + random_element(rnd, 2, max_len=4), mixed
+
+
+@pytest.mark.parametrize("weights", ["unit", "mu23", "custom"])
+@pytest.mark.parametrize("kind", ["left", "right", "both", "neither"])
+def test_form_matches_all_pairs(weights, kind):
+    rnd = random.Random(37)
+    ws = {
+        "unit": WeightSystem.unit(2),
+        "mu23": WeightSystem(2, mu=(2, 3)),
+        # no word is longer than 7 letters, and no factor either
+        "custom": custom_weights(rnd, 2, 7),
+    }[weights]
+    nonzero = 0
+    for _ in range(60):
+        a, b = _form_sides(rnd, kind)
+        assert (a.is_holomorphic(), b.is_holomorphic()) == {
+            "left": (True, False),
+            "right": (False, True),
+            "both": (True, True),
+            "neither": (False, False),
+        }[kind]
+        assert ws.form(a, b) == form_all_pairs(ws, a, b), (a, b)
+        # every pair of words that pairs nonzero is a candidate
+        met = {(wa, wb) for wa, _, wb, _ in pairing_candidates(a, b)}
+        assert all(
+            (wa, wb) in met for wa in a.terms for wb in b.terms if ws.form_words(wa, wb)
+        )
+        nonzero += bool(form_all_pairs(ws, a, b))
+    # not vacuous: most pairs of sides have a nonzero form
+    assert nonzero > 40
 
 
 def test_positive_definite_on_holomorphic():

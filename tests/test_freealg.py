@@ -185,6 +185,17 @@ def test_real_fast_path_agrees_with_general_path(x, y):
         assert hash(general) == hash(fast) == hash(direct)
 
 
+@given(parts, gaussians)
+def test_product_with_one_real_operand(a, y):
+    # one real operand takes a product per component, and a zero
+    # imaginary part is still the shared one
+    c, d = y
+    zero_im = Scalar(1).im
+    for z in (Scalar(a) * Scalar(c, d), Scalar(c, d) * Scalar(a)):
+        assert _parts(z) == (a * c, a * d)
+        assert (z.im is zero_im) == (a * d == 0)
+
+
 def _zero_free(e):
     return all(c.re or c.im for c in e.terms.values())
 

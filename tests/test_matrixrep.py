@@ -242,10 +242,12 @@ def test_sparse_adjoint_defect_matches_dense_formula(n, degree, mu):
 
 
 def test_projection_work_pinned(monkeypatch):
-    # at n=2 L=6 the 127 columns of b1*t2 + t1 + 1/2*b2 give 381 product
-    # words, 379 of them theta-initial: one split each gives both the
-    # partner and the value; 255 of them have a partner, and only their
-    # tails <rest, 1> reach the kernel
+    # at n=2 L=6 the 127 columns of b1*t2 + t1 + 1/2*b2 give 381 pairs of
+    # a basis word and a symbol term.  The operator splits its three terms
+    # once; the 126 nonempty basis words take only the partner test, and
+    # the empty one goes through project_word, which splits t1.  The
+    # kernel sees the two tails kept by the operator, <t2, 1> and
+    # <1, 1>, and the three words of the empty column
     splits, pairings = [], []
     split_block, form_factors = projection.split_block, form.form_factors
 
@@ -262,4 +264,4 @@ def test_projection_work_pinned(monkeypatch):
     g = parse_element("b1*t2 + t1 + 1/2*b2", 2)
     m = matrix_of(WeightSystem(2, mu=(2, 3)), g, TruncatedSpace.build(2, 6))
     assert len(m.values) == 126
-    assert (len(splits), len(pairings)) == (379, 255)
+    assert (len(splits), len(pairings)) == (4, 5)

@@ -8,6 +8,7 @@ from freetoeplitz.freealg import AlgebraElement, Scalar, theta_word, word_star
 from freetoeplitz.form import WeightSystem
 from freetoeplitz.kernel import form_factors
 from freetoeplitz.projection import (
+    PreparedSymbol,
     partner,
     partner_families,
     project,
@@ -197,3 +198,11 @@ def test_project_word_undefined_weight_raises():
         table = {i: v for i, v in full.items() if i != missing}
         with pytest.raises(ValueError, match="weight undefined"):
             project_word(WeightSystem.custom(2, table), (1, 2, -2))
+
+
+def test_prepared_symbol_belongs_to_its_weights(ws2, ws23):
+    g = AlgebraElement.from_word((-1,)) + AlgebraElement.from_word((1, 2))
+    phi = AlgebraElement.from_word((1,))
+    assert project(ws23, phi, PreparedSymbol(ws23, g)) == project(ws23, phi, g)
+    with pytest.raises(ValueError, match="another weight system"):
+        project(ws2, phi, PreparedSymbol(ws23, g))

@@ -9,7 +9,7 @@ import pytest
 from freetoeplitz.freealg import AlgebraElement, Scalar, theta_word, word_star
 from freetoeplitz import toeplitz
 from freetoeplitz.form import WeightSystem
-from freetoeplitz.projection import project_word
+from freetoeplitz.projection import partner, project_word
 from freetoeplitz.toeplitz import (
     CounterexampleValues,
     ToeplitzOperator,
@@ -33,6 +33,7 @@ from conftest import (
     compat_per_pair,
     compat_scan,
     custom_weights,
+    project_pairwise,
 )
 
 
@@ -89,6 +90,84 @@ def test_apply_matches_expanded_product(weights):
             )
     # not vacuous: apply sums images of words that the expansion drops
     assert cancelled > 100
+
+
+def _symbol_term_kind(wb):
+    return "empty" if not wb else "bar" if wb[0] < 0 else "theta"
+
+
+@pytest.mark.parametrize("weights", ["unit", "mu23", "custom"])
+def test_prepared_apply_matches_pairwise_projection(weights):
+    # one operator per symbol, applied to several phi, so that the split
+    # terms and their kept tails serve many applications
+    rnd = random.Random(43)
+    ws = {
+        "unit": WeightSystem.unit(2),
+        "mu23": WeightSystem(2, mu=(2, 3)),
+        "custom": custom_weights(rnd, 2, 7),
+    }[weights]
+    # b1*t2 after a trailing t1 passes the partner test with the zero
+    # tail <t2, 1>; b1*t1 and t2*b2*t1*b1 have nonzero tails
+    extra = w(()) + w((-1, 2)) + w((-1, 1)) + w((2, -2, 1, -1))
+    hits = dict.fromkeys(("empty", "bar", "theta", "zero-tail", "empty phi"), 0)
+    for _ in range(60):
+        g = random_element(rnd, 2, max_terms=5, max_len=4) + extra
+        op = ToeplitzOperator(g, ws)
+        for _ in range(4):
+            phi = random_holomorphic(rnd, 2, max_len=3) + w(())
+            assert op.apply(phi) == project_pairwise(ws, phi, g)
+            for wa in phi.terms:
+                for wb in g.terms:
+                    image = project_word(ws, wa + wb)
+                    if not wa:
+                        hits["empty phi"] += bool(image)
+                    elif image:
+                        hits[_symbol_term_kind(wb)] += 1
+                    elif partner(wa + wb) is not None:
+                        hits["zero-tail"] += 1
+    # not vacuous: every kind of symbol term projects nonzero after a
+    # nonempty phi word, and partner hits with a zero tail occur
+    assert min(hits.values()) > 50, hits
+
+
+def test_apply_undefined_weight_raises_as_pairwise():
+    # b1*t2*b2 has the tail <t2*b2, 1> = w(2); after t2 it has no
+    # partner, so a table without w(2) raises only where the partner
+    # test passes, as projecting each pair of words does
+    table = {i: 1 for r in range(1, 4) for i in itertools.product((1, 2), repeat=r)}
+    del table[(2,)]
+    ws = WeightSystem.custom(2, table)
+    op = ToeplitzOperator(w((-1, 2, -2)), ws)
+    assert op.apply(w((2,)) + w(())).is_zero()
+    with pytest.raises(ValueError, match="weight undefined"):
+        op.apply(w((1, 1)))
+    # random tables, each without one weight: apply raises exactly when
+    # the pairwise projection does, and agrees with it otherwise
+    rnd = random.Random(47)
+    outcomes = {True: 0, False: 0}
+    for _ in range(150):
+        table = {
+            i: Fraction(rnd.randint(1, 9), rnd.randint(1, 9))
+            for r in range(1, 7)
+            for i in itertools.product((1, 2), repeat=r)
+        }
+        del table[rnd.choice([i for i in table if len(i) <= 2])]
+        ws = WeightSystem.custom(2, table)
+        g = random_element(rnd, 2, max_len=3)
+        phi = random_holomorphic(rnd, 2, max_len=3)
+        try:
+            expected = project_pairwise(ws, phi, g)
+        except ValueError:
+            expected = None
+        op = ToeplitzOperator(g, ws)
+        if expected is None:
+            with pytest.raises(ValueError, match="weight undefined"):
+                op.apply(phi)
+        else:
+            assert op.apply(phi) == expected
+        outcomes[expected is None] += 1
+    # not vacuous: both outcomes occur often
+    assert min(outcomes.values()) > 20, outcomes
 
 
 def test_apply_sums_words_cancelled_in_the_expansion():
