@@ -3,14 +3,12 @@
 Prints microseconds per ``ToeplitzOperator.apply`` column, over every
 basis word of the truncation as ``matrix_of`` does, and per
 ``WeightSystem.form`` call on seeded pairs of elements; each figure is
-the best of --repeat passes.  Every pass builds a fresh weight system
+the best of REPEAT passes.  Every pass builds a fresh weight system
 and operator, as one ``fta matrix`` run does.
 
 Usage: PYTHONPATH=src python3 benchmarks/bench_layers.py
-           [--degree L] [--pairs N] [--repeat R] [--seed S]
 """
 
-import argparse
 import platform
 import random
 import time
@@ -23,14 +21,18 @@ from freetoeplitz.toeplitz import ToeplitzOperator, random_element, random_holom
 
 SYMBOL = "b1*t2 + t1 + 1/2*b2"
 MU = (2, 3)
+DEGREE = 10
+PAIRS = 1000
+REPEAT = 5
+SEED = 0
 
 
-def bench_columns(degree, repeat):
+def bench_columns():
     """Best seconds for one pass of apply over the basis, and the column count."""
     g = parse_element(SYMBOL, 2)
-    columns = [AlgebraElement.from_word(k) for k in TruncatedSpace.build(2, degree).basis]
+    columns = [AlgebraElement.from_word(k) for k in TruncatedSpace.build(2, DEGREE).basis]
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         op = ToeplitzOperator(g, WeightSystem(2, mu=MU))
         t0 = time.perf_counter()
         for phi in columns:
@@ -39,10 +41,10 @@ def bench_columns(degree, repeat):
     return best, len(columns)
 
 
-def bench_form(pairs, repeat):
+def bench_form(pairs):
     """Best seconds for one pass of form over the pairs."""
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         ws = WeightSystem(2, mu=MU)
         t0 = time.perf_counter()
         for a, b in pairs:
@@ -52,22 +54,15 @@ def bench_form(pairs, repeat):
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--degree", type=int, default=10)
-    ap.add_argument("--pairs", type=int, default=2000)
-    ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
-
     print("python %s" % platform.python_version())
-    t, cols = bench_columns(args.degree, args.repeat)
+    t, cols = bench_columns()
     print("apply   %8.2f us/column  (%s, n=2 L=%d mu=2,3, %d columns)"
-          % (1e6 * t / cols, SYMBOL, args.degree, cols))
-    rnd = random.Random(args.seed)
-    general = [(random_element(rnd, 2), random_element(rnd, 2)) for _ in range(args.pairs)]
-    holo = [(random_holomorphic(rnd, 2), random_element(rnd, 2)) for _ in range(args.pairs)]
+          % (1e6 * t / cols, SYMBOL, DEGREE, cols))
+    rnd = random.Random(SEED)
+    general = [(random_element(rnd, 2), random_element(rnd, 2)) for _ in range(PAIRS)]
+    holo = [(random_holomorphic(rnd, 2), random_element(rnd, 2)) for _ in range(PAIRS)]
     for name, pairs in (("random_element pairs", general), ("holomorphic, random_element", holo)):
-        t = bench_form(pairs, args.repeat)
+        t = bench_form(pairs)
         print("form    %8.2f us/call    (%s, n=2 mu=2,3, %d pairs)"
               % (1e6 * t / len(pairs), name, len(pairs)))
 

@@ -9,7 +9,6 @@ second.
 
 from __future__ import annotations
 
-import math
 import re as _re
 from fractions import Fraction
 
@@ -84,7 +83,10 @@ class WeightSystem:
         factors = form_factors(tuple(f), tuple(g))
         if factors is None:
             return Fraction(0)
-        return math.prod(map(self.weight, factors), start=Fraction(1))
+        out = Fraction(1)
+        for i in factors:
+            out *= self.weight(i)
+        return out
 
     def form(self, a, b):
         """Anti-linear in a, linear in b; sums over the ``pairing_candidates``."""
