@@ -1,10 +1,11 @@
-"""Time two layers: Toeplitz columns and the sesquilinear form.
+"""Time three layers: Toeplitz columns, the sesquilinear form and exact scalars.
 
 Prints microseconds per ``ToeplitzOperator.apply`` column, over every
-basis word of the truncation as ``matrix_of`` does, and per
-``WeightSystem.form`` call on seeded pairs of elements; each figure is
-the best of REPEAT passes.  Every pass builds a fresh weight system
-and operator, as one ``fta matrix`` run does.
+basis word of the truncation as ``matrix_of`` does, per
+``WeightSystem.form`` call on seeded pairs of elements, and per
+``Scalar`` product and sum on fixed Gaussian rationals; each figure is
+the best of REPEAT passes.  Every apply and form pass builds a fresh
+weight system and operator, as one ``fta matrix`` run does.
 
 Usage: PYTHONPATH=src python3 benchmarks/bench_layers.py
 """
@@ -12,10 +13,12 @@ Usage: PYTHONPATH=src python3 benchmarks/bench_layers.py
 import platform
 import random
 import time
+import timeit
+from fractions import Fraction
 
 from freetoeplitz.expr import parse_element
 from freetoeplitz.form import WeightSystem
-from freetoeplitz.freealg import AlgebraElement
+from freetoeplitz.freealg import AlgebraElement, Scalar
 from freetoeplitz.matrixrep import TruncatedSpace
 from freetoeplitz.toeplitz import ToeplitzOperator, random_element, random_holomorphic
 
@@ -25,6 +28,10 @@ DEGREE = 10
 PAIRS = 1000
 REPEAT = 5
 SEED = 0
+# Scalar operations per pass, on one real and two complex values
+SCALAR_OPS = 100000
+REAL = Fraction(2, 3)
+COMPLEX = ((Fraction(-1, 3), Fraction(1, 2)), (Fraction(5, 7), Fraction(1, 9)))
 
 
 def bench_columns():
@@ -53,6 +60,11 @@ def bench_form(pairs):
     return best
 
 
+def bench_scalar(stmt, x, y):
+    """Best seconds for SCALAR_OPS evaluations of stmt on x and y."""
+    return min(timeit.repeat(stmt, globals={"x": x, "y": y}, number=SCALAR_OPS, repeat=REPEAT))
+
+
 def main():
     print("python %s" % platform.python_version())
     t, cols = bench_columns()
@@ -65,6 +77,15 @@ def main():
         t = bench_form(pairs)
         print("form    %8.2f us/call    (%s, n=2 mu=2,3, %d pairs)"
               % (1e6 * t / len(pairs), name, len(pairs)))
+    real, (u, v) = Scalar(REAL), (Scalar(*c) for c in COMPLEX)
+    for what, stmt, x, y in (
+        ("product", "x * y", real, u),
+        ("product", "x * y", u, v),
+        ("sum    ", "x + y", u, v),
+    ):
+        kind = "one real operand" if x is real else "both complex"
+        t = bench_scalar(stmt, x, y)
+        print("scalar  %8.3f us/%s (%s, %s)" % (1e6 * t / SCALAR_OPS, what, kind, stmt))
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import gcd
 
 
 def swap_alphabet(word):
@@ -58,35 +59,35 @@ def balance(word):
     return sum(1 if c > 0 else -1 for c in word)
 
 
-# the imaginary part of every real Scalar, so that a real value is
-# recognised by identity
-_ZERO_IM = Fraction(0)
-
-
 class Scalar:
-    """Exact Gaussian-rational number re + im*i.
+    """Exact Gaussian-rational number (a + b*i) / d.
 
-    Both components are always ``Fraction``; a zero imaginary part is
-    always the shared ``_ZERO_IM``.  Arithmetic on two real values takes
-    a single ``Fraction`` operation, and a product with one real operand
-    takes two.
+    Held on integers a, b and d > 0 with gcd(a, b, d) = 1, so equality
+    and hashing are structural and each operation normalises once.  The
+    arguments re and im are ints or ``Fraction``s, den a positive int;
+    the properties ``re`` and ``im`` build ``Fraction``s on each read.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
-    def __init__(self, re=0, im=_ZERO_IM):
-        if type(re) is not Fraction:
-            re = Fraction(re)
-        if im is not _ZERO_IM:
-            if type(im) is not Fraction:
-                im = Fraction(im)
-            if not im:
-                im = _ZERO_IM
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+    def __init__(self, re=0, im=0, den=1):
+        if type(re) is not int or type(im) is not int:
+            p, q = re.denominator, im.denominator
+            re, im, den = re.numerator * q, im.numerator * p, den * p * q
+        if den < 1:
+            raise ValueError("Scalar denominator must be positive")
+        g = gcd(re, im, den)
+        if g != 1:
+            re, im, den = re // g, im // g, den // g
+        _set_a(self, re)
+        _set_b(self, im)
+        _set_d(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    re = property(lambda self: Fraction(self.a, self.d))
+    im = property(lambda self: Fraction(self.b, self.d))
 
     @staticmethod
     def _coerce(other):
@@ -97,22 +98,23 @@ class Scalar:
         return None
 
     def conjugate(self):
-        return Scalar(self.re, -self.im)
+        return Scalar(self.a, -self.b, self.d)
 
     def is_zero(self):
-        return not (self.re or self.im)
+        return not (self.a or self.b)
 
     def __bool__(self):
-        return bool(self.re or self.im)
+        return bool(self.a or self.b)
 
     def __add__(self, other):
         if type(other) is not Scalar:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        if self.im is _ZERO_IM and other.im is _ZERO_IM:
-            return Scalar(self.re + other.re, _ZERO_IM)
-        return Scalar(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return Scalar(self.a + other.a, self.b + other.b, d)
+        return Scalar(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
@@ -121,32 +123,25 @@ class Scalar:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        if self.im is _ZERO_IM and other.im is _ZERO_IM:
-            return Scalar(self.re - other.re, _ZERO_IM)
-        return Scalar(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return Scalar(self.a - other.a, self.b - other.b, d)
+        return Scalar(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return NotImplemented if other is None else other - self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return Scalar(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         if type(other) is not Scalar:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        if self.im is _ZERO_IM:
-            return Scalar(self.re * other.re, other.im and self.re * other.im)
-        if other.im is _ZERO_IM:
-            return Scalar(self.re * other.re, self.im * other.re)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return Scalar(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -154,17 +149,21 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int true division is correctly rounded, as float(Fraction) is
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self):
         return "Scalar(%s, %s)" % (self.re, self.im)
 
+
+# the slots' own setters, which bypass the immutability guard
+_set_a, _set_b, _set_d = (Scalar.__dict__[s].__set__ for s in Scalar.__slots__)
 
 ONE = Scalar(1)
 
@@ -184,7 +183,7 @@ class AlgebraElement:
             for w, c in terms.items():
                 if type(c) is not Scalar:
                     c = Scalar(c)
-                if c.re or c.im:
+                if c.a or c.b:
                     clean[w] = c
         object.__setattr__(self, "terms", clean)
 

@@ -10,8 +10,10 @@ exhausts it, so the value is w(k) <rest, 1> / w(i) from one split.
 and never builds the product a * b.  It splits each term of b once, as a
 ``PreparedSymbol``: for a nonempty holomorphic word wa the first block
 of wa + wb is (wa + t, r), with t, r and the rest fixed by wb alone, so
-each pair costs the partner test and, on a hit, two weights and the
-term's tail <rest, 1>, computed at its first hit and kept.  A
+each pair costs the partner test and, on a hit, one ``Scalar`` product:
+under product weights w(wa + t) / w(i) = w(r), so the term's coefficient
+cb w(r) <rest, 1> is one constant, computed at its first hit and kept.
+A custom table takes its two weights on each hit.  A
 ``ToeplitzOperator`` prepares its symbol once for all its applications.
 ``project_oracle`` evaluates the defining basis sum by brute force and
 exists purely as an independent cross-check.  ``pairing_candidates``
@@ -123,7 +125,11 @@ class PreparedSymbol:
     A term wb is kept as (wb, cb, t, r, rest): t is wb's leading theta
     run (possibly empty), r ``word_star`` of the bar run after it, and
     rest what follows.  For a nonempty holomorphic word wa the first
-    block of wa + wb is then (wa + t, r), followed by rest.
+    block of wa + wb is then (wa + t, r), followed by rest, so a partner
+    hit i has the coefficient cb w(wa + t) <rest, 1> / w(i).  Under
+    product weights that ratio is w(r), so the coefficient is one
+    constant per term, computed at the term's first hit and kept; a
+    custom table takes its two weights on each hit.
     """
 
     def __init__(self, ws, b):
@@ -136,26 +142,35 @@ class PreparedSymbol:
             else:
                 self.terms.append((wb, cb) + split_block(wb))
         self._tails = {}
+        self._coeffs = [None] * len(self.terms)
 
     def images(self, wa):
-        """(cb, i, v) for each term cb * wb with P(wa + wb) = v theta_i nonzero."""
+        """(i, c) for each term cb * wb with P(wa + wb) = c theta_i nonzero."""
         ws = self.ws
         if not wa or not is_holomorphic_word(wa):
             for wb, cb, _, _, _ in self.terms:
                 for i, v in project_word(ws, wa + wb).items():
-                    yield cb, i, v
+                    yield i, cb * v
             return
-        tails = self._tails
-        for _, cb, t, r, rest in self.terms:
+        tails, coeffs = self._tails, self._coeffs
+        for j, (_, cb, t, r, rest) in enumerate(self.terms):
             k = wa + t
             i = _cut(k, r)
             if i is None:
                 continue
-            tail = tails.get(rest)
-            if tail is None:
-                tail = tails[rest] = ws.form_words(rest, ())
-            if tail:
-                yield cb, i, Scalar(ws.weight(k) * tail / ws.weight(i))
+            c = coeffs[j]
+            if c is None:
+                tail = tails.get(rest)
+                if tail is None:
+                    tail = tails[rest] = ws.form_words(rest, ())
+                c = cb * Scalar(ws.weight(k) * tail / ws.weight(i)) if tail else 0
+                if ws.mu is not None:
+                    coeffs[j] = c
+            elif c and i and max(i) > ws.n:
+                # the first hit checked t and r, so a bad entry of k is in i
+                ws.weight(i)
+            if c:
+                yield i, c
 
 
 def project(ws, a, b=AlgebraElement.one()):
@@ -170,8 +185,8 @@ def project(ws, a, b=AlgebraElement.one()):
         raise ValueError("symbol prepared for another weight system")
     out = {}
     for wa, ca in a.items():
-        for cb, i, v in b.images(wa):
-            v = ca * cb * v
+        for i, c in b.images(wa):
+            v = ca * c
             prev = out.get(i)
             out[i] = v if prev is None else prev + v
     return AlgebraElement(out)

@@ -45,6 +45,50 @@ def custom_weights(rnd, n, max_len):
     })
 
 
+class FractionScalar:
+    """Gaussian rational re + im*i held as a pair of ``Fraction``s.
+
+    The oracle for ``freealg.Scalar``, which holds integers a, b, d with
+    value (a + b*i) / d: every operation is the textbook component
+    formula on ``Fraction``s, with no normal form to keep.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def conjugate(self):
+        return FractionScalar(self.re, -self.im)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __add__(self, other):
+        return FractionScalar(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return FractionScalar(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return FractionScalar(-self.re, -self.im)
+
+    def __mul__(self, other):
+        return FractionScalar(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def __eq__(self, other):
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+
 def form_all_pairs(ws, a, b):
     """<a, b> with every term of a paired with every term of b.
 

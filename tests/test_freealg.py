@@ -1,7 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
+
+from conftest import FractionScalar
 
 from freetoeplitz.freealg import (
     AlgebraElement,
@@ -145,26 +149,33 @@ def test_scalar_arithmetic_matches_component_formula(x, y):
     assert _parts(s * Fraction(1, 2)) == (a / 2, b / 2)
 
 
+def _normal(z):
+    # a Scalar's integers are in normal form, and its components are the
+    # oracle's, as Fractions
+    assert all(type(x) is int for x in (z.a, z.b, z.d))
+    assert z.d > 0 and math.gcd(z.a, z.b, z.d) == 1
+    return _parts(z)
+
+
 @given(gaussians, st.integers(-5, 5))
 def test_scalar_components_are_fractions(x, k):
     a, b = x
-    for z in (
-        Scalar(k),
-        Scalar(k, k),
-        Scalar(a),
-        Scalar(a, b),
-        Scalar(),
-        -Scalar(a, b),
-        Scalar(a, b).conjugate(),
-        Scalar(a) + Scalar(k),
-        Scalar(a) - Scalar(k),
-        Scalar(a) * Scalar(k),
+    o, ok = FractionScalar(a, b), FractionScalar(k)
+    for z, expected in (
+        (Scalar(k), ok),
+        (Scalar(k, k), FractionScalar(k, k)),
+        (Scalar(a), FractionScalar(a)),
+        (Scalar(a, b), o),
+        (Scalar(), FractionScalar()),
+        (-Scalar(a, b), -o),
+        (Scalar(a, b).conjugate(), o.conjugate()),
+        (Scalar(a) + Scalar(k), FractionScalar(a) + ok),
+        (Scalar(a) - Scalar(k), FractionScalar(a) - ok),
+        (Scalar(a) * Scalar(k), FractionScalar(a) * ok),
+        (Scalar(a, 1) - Scalar(k, 1), FractionScalar(a) - ok),
     ):
-        _parts(z)
+        assert _normal(z) == (expected.re, expected.im)
     assert _parts(Scalar(k)) == (k, 0)
-    # every zero imaginary part is one shared Fraction
-    zero_im = Scalar(k).im
-    assert Scalar(a, 0).im is zero_im and (Scalar(a, 1) - Scalar(k, 1)).im is zero_im
     assert bool(Scalar(a, b)) == (a != 0 or b != 0) != Scalar(a, b).is_zero()
 
 
@@ -187,13 +198,51 @@ def test_real_fast_path_agrees_with_general_path(x, y):
 
 @given(parts, gaussians)
 def test_product_with_one_real_operand(a, y):
-    # one real operand takes a product per component, and a zero
-    # imaginary part is still the shared one
+    # one real operand scales both components, in normal form
     c, d = y
-    zero_im = Scalar(1).im
+    expected = FractionScalar(a) * FractionScalar(c, d)
     for z in (Scalar(a) * Scalar(c, d), Scalar(c, d) * Scalar(a)):
-        assert _parts(z) == (a * c, a * d)
-        assert (z.im is zero_im) == (a * d == 0)
+        assert _normal(z) == (a * c, a * d) == (expected.re, expected.im)
+
+
+# Gaussian rationals with large denominators, and pairs whose sum or
+# difference cancels to zero in one or both components
+big_parts = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**30)
+scalar_values = st.one_of(gaussians, st.tuples(big_parts, big_parts))
+scalar_pairs = st.one_of(
+    st.tuples(scalar_values, scalar_values),
+    scalar_values.map(lambda x: (x, x)),
+    scalar_values.map(lambda x: (x, (-x[0], -x[1]))),
+    st.tuples(scalar_values, big_parts).map(lambda t: (t[0], (t[0][0], t[1]))),
+)
+
+
+@given(scalar_pairs)
+def test_scalar_matches_fraction_pair_oracle(pair):
+    x, y = pair
+    s, t = Scalar(*x), Scalar(*y)
+    o, p = FractionScalar(*x), FractionScalar(*y)
+    for z, expected in (
+        (s, o), (s + t, o + p), (s - t, o - p), (s * t, o * p), (-s, -o),
+        (s.conjugate(), o.conjugate()), (s + t.conjugate(), o + p.conjugate()),
+    ):
+        assert _normal(z) == (expected.re, expected.im)
+        assert bool(z) == bool(expected) != z.is_zero()
+        assert repr(complex(z)) == repr(complex(expected))
+    assert (s == t) == (o == p) == (s - t).is_zero()
+    if s == t:
+        assert hash(s) == hash(t)
+    # the same value built from ints over a common denominator
+    den = o.re.denominator * o.im.denominator
+    u = Scalar(int(o.re * den), int(o.im * den), den)
+    assert u == s and hash(u) == hash(s) and _normal(u) == _normal(s)
+
+
+def test_scalar_denominator_must_be_positive():
+    for den in (0, -1):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            Scalar(1, 0, den)
+    assert Scalar(2, -4, 6) == Scalar(Fraction(1, 3), Fraction(-2, 3))
 
 
 def _zero_free(e):

@@ -170,6 +170,28 @@ def test_apply_undefined_weight_raises_as_pairwise():
     assert min(outcomes.values()) > 20, outcomes
 
 
+def test_apply_entry_out_of_range_raises_after_the_fold(ws23):
+    # T_{t1} t3 = t3*t1 needs w(3, 1), which has no mu_3; under product
+    # weights the kept coefficient of t1 is w(()) <(), 1>, and it must
+    # not hide that, whether or not an earlier hit computed it
+    for first in (None, w((2,))):
+        op = ToeplitzOperator(w((1,)), ws23)
+        if first is not None:
+            assert op.apply(first) == Scalar(1) * w((2, 1))
+        for phi in (w((3,)), w((2, 3)), w((3, 2)) + w((1,))):
+            with pytest.raises(ValueError, match="multi-index entry out of range: 3"):
+                op.apply(phi)
+    # the entry may sit in i, with r as after b1, or in the symbol itself
+    op = ToeplitzOperator(w((-1,)), ws23)
+    assert op.apply(w((2, 1))) == Scalar(2) * w((2,))
+    with pytest.raises(ValueError, match="out of range: 3"):
+        op.apply(w((3, 1)))
+    with pytest.raises(ValueError, match="out of range: 3"):
+        ToeplitzOperator(w((3,)), ws23).apply(w((1,)))
+    # a partner miss looks no weight up
+    assert op.apply(w((3,))).is_zero()
+
+
 def test_apply_sums_words_cancelled_in_the_expansion():
     # (1 + t1)(t1 - t1*t1) = t1 - t1*t1*t1: t1*t1 arises twice with
     # opposite signs and is projected twice, once from each pair
