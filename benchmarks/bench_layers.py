@@ -1,11 +1,12 @@
-"""Time three layers: Toeplitz columns, the sesquilinear form and exact scalars.
+"""Time four layers: matrices, Toeplitz columns, the form and exact scalars.
 
-Prints microseconds per ``ToeplitzOperator.apply`` column, over every
-basis word of the truncation as ``matrix_of`` does, per
-``WeightSystem.form`` call on seeded pairs of elements, and per
-``Scalar`` product and sum on fixed Gaussian rationals; each figure is
-the best of REPEAT passes.  Every apply and form pass builds a fresh
-weight system and operator, as one ``fta matrix`` run does.
+Prints milliseconds per ``matrix_of`` call on fixed symbols and
+truncations, microseconds per ``ToeplitzOperator.apply`` column, over
+every basis word of the truncation, per ``WeightSystem.form`` call on
+seeded pairs of elements, and per ``Scalar`` product and sum on fixed
+Gaussian rationals; each figure is the best of REPEAT passes.  Every
+matrix, apply and form pass builds a fresh weight system, and the apply
+pass a fresh operator, as one ``fta matrix`` run does.
 
 Usage: PYTHONPATH=src python3 benchmarks/bench_layers.py
 """
@@ -19,12 +20,14 @@ from fractions import Fraction
 from freetoeplitz.expr import parse_element
 from freetoeplitz.form import WeightSystem
 from freetoeplitz.freealg import AlgebraElement, Scalar
-from freetoeplitz.matrixrep import TruncatedSpace
+from freetoeplitz.matrixrep import TruncatedSpace, matrix_of
 from freetoeplitz.toeplitz import ToeplitzOperator, random_element, random_holomorphic
 
 SYMBOL = "b1*t2 + t1 + 1/2*b2"
 MU = (2, 3)
 DEGREE = 10
+# (symbol, degree) for each matrix_of line, at n=2 mu=2,3
+MATRICES = ((SYMBOL, DEGREE), ("t1", 14))
 PAIRS = 1000
 REPEAT = 5
 SEED = 0
@@ -32,6 +35,19 @@ SEED = 0
 SCALAR_OPS = 100000
 REAL = Fraction(2, 3)
 COMPLEX = ((Fraction(-1, 3), Fraction(1, 2)), (Fraction(5, 7), Fraction(1, 9)))
+
+
+def bench_matrix(symbol, degree):
+    """Best seconds for one matrix_of call, and the matrix's nonzero count."""
+    g = parse_element(symbol, 2)
+    space = TruncatedSpace.build(2, degree)
+    best = float("inf")
+    for _ in range(REPEAT):
+        ws = WeightSystem(2, mu=MU)
+        t0 = time.perf_counter()
+        m = matrix_of(ws, g, space)
+        best = min(best, time.perf_counter() - t0)
+    return best, len(m.values)
 
 
 def bench_columns():
@@ -67,6 +83,10 @@ def bench_scalar(stmt, x, y):
 
 def main():
     print("python %s" % platform.python_version())
+    for symbol, degree in MATRICES:
+        t, nonzeros = bench_matrix(symbol, degree)
+        print("matrix  %8.2f ms/call    (%s, n=2 L=%d mu=2,3, %d nonzeros)"
+              % (1e3 * t, symbol, degree, nonzeros))
     t, cols = bench_columns()
     print("apply   %8.2f us/column  (%s, n=2 L=%d mu=2,3, %d columns)"
           % (1e6 * t / cols, SYMBOL, DEGREE, cols))

@@ -144,6 +144,24 @@ class PreparedSymbol:
         self._tails = {}
         self._coeffs = [None] * len(self.terms)
 
+    def coefficient(self, j, k, i):
+        """Term j's coefficient cb w(k) <rest, 1> / w(i) at a partner hit i of k = wa + t.
+
+        Under product weights it is cb w(r) <rest, 1> at every hit, so it
+        is kept from the first call on.
+        """
+        c = self._coeffs[j]
+        if c is None:
+            ws, tails = self.ws, self._tails
+            _, cb, _, _, rest = self.terms[j]
+            tail = tails.get(rest)
+            if tail is None:
+                tail = tails[rest] = ws.form_words(rest, ())
+            c = cb * Scalar(ws.weight(k) * tail / ws.weight(i)) if tail else 0
+            if ws.mu is not None:
+                self._coeffs[j] = c
+        return c
+
     def images(self, wa):
         """(i, c) for each term cb * wb with P(wa + wb) = c theta_i nonzero."""
         ws = self.ws
@@ -152,20 +170,15 @@ class PreparedSymbol:
                 for i, v in project_word(ws, wa + wb).items():
                     yield i, cb * v
             return
-        tails, coeffs = self._tails, self._coeffs
-        for j, (_, cb, t, r, rest) in enumerate(self.terms):
+        coeffs = self._coeffs
+        for j, (_, _, t, r, _) in enumerate(self.terms):
             k = wa + t
             i = _cut(k, r)
             if i is None:
                 continue
             c = coeffs[j]
             if c is None:
-                tail = tails.get(rest)
-                if tail is None:
-                    tail = tails[rest] = ws.form_words(rest, ())
-                c = cb * Scalar(ws.weight(k) * tail / ws.weight(i)) if tail else 0
-                if ws.mu is not None:
-                    coeffs[j] = c
+                c = self.coefficient(j, k, i)
             elif c and i and max(i) > ws.n:
                 # the first hit checked t and r, so a bad entry of k is in i
                 ws.weight(i)

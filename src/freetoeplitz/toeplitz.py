@@ -31,12 +31,12 @@ class ToeplitzOperator:
     def __init__(self, symbol, weights):
         self.symbol = symbol
         self.weights = weights
-        self._prepared = PreparedSymbol(weights, symbol)
+        self.prepared = PreparedSymbol(weights, symbol)
 
     def apply(self, phi):
         if not phi.is_holomorphic():
             raise ValueError("argument must lie in the holomorphic subalgebra")
-        return project(self.weights, phi, self._prepared)
+        return project(self.weights, phi, self.prepared)
 
     __call__ = apply
 

@@ -1,13 +1,18 @@
+import cmath
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from freetoeplitz.expr import format_element, format_word
 from freetoeplitz.form import WeightSystem
 from freetoeplitz.freealg import AlgebraElement, Scalar, split_block, swap_alphabet, word_star
+from freetoeplitz.matrixrep import OperatorMatrix
 from freetoeplitz.projection import partner, project_word
-from freetoeplitz.toeplitz import CompatibilityViolation, compat_pairs
+from freetoeplitz.toeplitz import CompatibilityViolation, ToeplitzOperator, compat_pairs
 
 
 @pytest.fixture
@@ -239,3 +244,53 @@ def scan_oracle(word, p=None, seed=None):
         alive[pos] = alive[mate] = False
         eliminations.append((pos, mate))
     return tuple(c for q, c in enumerate(word) if alive[q]), tuple(eliminations)
+
+
+def matrix_by_columns(ws, g, space):
+    """The matrix of T_g, one ``ToeplitzOperator.apply`` per basis word.
+
+    Column k holds the expansion of T_g applied to the k-th basis word,
+    images of degree above the truncation dropped, each entry
+    complex(c) * sqrt(w(row) / w(col)).  Every basis weight is checked
+    first; then the columns in basis order, each entry's weight ratio
+    before its value.  The oracle for ``matrixrep.matrix_of``, which
+    builds the matrix from the symbol's shift families.
+    """
+    op = ToeplitzOperator(g, ws)
+    weights = []
+    for i in space.basis:
+        try:
+            w = float(ws.weight(i))
+        except OverflowError:
+            w = math.inf
+        if not 0 < w < math.inf:
+            raise ValueError("weight w(%s) is outside float range" % format_word(i))
+        weights.append(w)
+    entries = {}
+    for col, k in enumerate(space.basis):
+        for w, c in op.apply(AlgebraElement.from_word(k)).items():
+            row = space.index.get(w)
+            if row is None:
+                continue
+            ratio = weights[row] / weights[col]
+            if not 0 < ratio < math.inf:
+                raise ValueError(
+                    "weight ratio w(%s)/w(%s) is outside float range"
+                    % (format_word(w), format_word(k))
+                )
+            try:
+                value = complex(c) * math.sqrt(ratio)
+            except OverflowError:
+                value = math.inf
+            if not cmath.isfinite(value):
+                raise ValueError(
+                    "matrix entry (%s, %s) is outside float range"
+                    % (format_word(w), format_word(k))
+                )
+            if value:
+                entries[row, col] = value
+    keys = sorted(entries)
+    rows = np.array([r for r, _ in keys], dtype=np.intp)
+    cols = np.array([c for _, c in keys], dtype=np.intp)
+    values = np.array([entries[k] for k in keys], dtype=complex)
+    return OperatorMatrix(space, format_element(g), rows, cols, values)

@@ -1,12 +1,16 @@
+import importlib.util
 import json
 import math
+import pathlib
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from freetoeplitz import form, projection
+from conftest import custom_weights, matrix_by_columns
+from freetoeplitz import form, matrixrep, projection
 from freetoeplitz.expr import parse_element
 from freetoeplitz.freealg import AlgebraElement, Scalar, theta_word, word_star
 from freetoeplitz.form import WeightSystem
@@ -173,20 +177,6 @@ def test_adjoint_defect_random_compatible(ws2):
         assert adjoint_defect(ws2, g, space) <= 1e-12
 
 
-def dense_reference(ws, g, space):
-    """The dense matrix: every column of T_g written into a dim x dim array."""
-    op = ToeplitzOperator(g, ws)
-    entries = np.zeros((space.dim, space.dim), dtype=complex)
-    weights = [float(ws.weight(i)) for i in space.basis]
-    for col, k in enumerate(space.basis):
-        image = op.apply(AlgebraElement.from_word(theta_word(k)))
-        for word, c in image.items():
-            row = space.index.get(word)
-            if row is not None:
-                entries[row, col] = complex(c) * math.sqrt(weights[row] / weights[col])
-    return entries
-
-
 MUS = ((1, 1), (2, 3), (Fraction(1, 2), Fraction(5, 3)))
 SPARSE_CASES = [(2, 5, mu) for mu in MUS] + [(1, 8, mu[:1]) for mu in MUS]
 
@@ -217,7 +207,7 @@ def test_sparse_matrix_matches_dense_reference(n, degree, mu):
     for g in symbols:
         m = matrix_of(ws, g, space)
         assert_canonical(m)
-        assert np.array_equal(m.entries, dense_reference(ws, g, space))
+        assert np.array_equal(m.entries, matrix_by_columns(ws, g, space).entries)
 
 
 @pytest.mark.parametrize("n,degree,mu", SPARSE_CASES)
@@ -236,20 +226,23 @@ def test_sparse_commutator_matches_dense_product(n, degree, mu):
 def test_sparse_adjoint_defect_matches_dense_formula(n, degree, mu):
     ws, space, symbols = sparse_case(n, degree, mu)
     for g in symbols:
-        a = dense_reference(ws, g, space)
-        b = dense_reference(ws, g.star(), space)
+        a = matrix_by_columns(ws, g, space).entries
+        b = matrix_by_columns(ws, g.star(), space).entries
         assert adjoint_defect(ws, g, space) == np.abs(a - b.conj().T).max()
 
 
 def test_projection_work_pinned(monkeypatch):
-    # at n=2 L=6 the 127 columns of b1*t2 + t1 + 1/2*b2 give 381 pairs of
-    # a basis word and a symbol term.  The operator splits its three terms
-    # once; the 126 nonempty basis words take only the partner test, and
-    # the empty one goes through project_word, which splits t1.  The
-    # kernel sees the two tails kept by the operator, <t2, 1> and
-    # <1, 1>, and the three words of the empty column
-    splits, pairings = [], []
+    # at n=2 L=6, b1*t2 + t1 + 1/2*b2 has 126 nonzeros in 127 columns, and
+    # matrix_of applies the operator once, to the empty basis word.  The
+    # splits: the operator splits its three terms once; partner_families
+    # splits each again to find its shift family; and project_word splits
+    # t1, the one theta-initial term, in the empty column.  The pairings:
+    # the empty column pairs each of the three words with 1, and the
+    # families' coefficients take the two kept tails, <t2, 1> for b1*t2
+    # and <1, 1>, shared by t1 and b2
+    splits, pairings, applied = [], [], []
     split_block, form_factors = projection.split_block, form.form_factors
+    apply = ToeplitzOperator.apply
 
     def counted_split(word):
         splits.append(None)
@@ -259,9 +252,168 @@ def test_projection_work_pinned(monkeypatch):
         pairings.append(None)
         return form_factors(f, g)
 
+    def counted_apply(op, phi):
+        applied.append(phi)
+        return apply(op, phi)
+
     monkeypatch.setattr(projection, "split_block", counted_split)
     monkeypatch.setattr(form, "form_factors", counted_pairing)
+    monkeypatch.setattr(ToeplitzOperator, "apply", counted_apply)
     g = parse_element("b1*t2 + t1 + 1/2*b2", 2)
     m = matrix_of(WeightSystem(2, mu=(2, 3)), g, TruncatedSpace.build(2, 6))
     assert len(m.values) == 126
-    assert (len(splits), len(pairings)) == (4, 5)
+    assert applied == [AlgebraElement.one()]
+    assert (len(splits), len(pairings)) == (7, 5)
+
+
+def perfbench_symbol_pool():
+    """The matrix workload's symbols, read from perfbench's workloads module."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.symbol_pool()
+
+
+def outcome(build, ws, g, space):
+    """A matrix as its exact arrays and both exports, or the error it raised."""
+    try:
+        m = build(ws, g, space)
+    except ValueError as e:
+        return "error", str(e)
+    return m.rows.tobytes(), m.cols.tobytes(), m.values.tobytes(), to_csv(m), to_json(m)
+
+
+# criterion 8's witnesses: identity 1 fails at g = t1*b1*t1, identity 2 at g = b1
+WITNESSES = ("t1*b1*t1", "b1", "b1*t1*b1", "t1")
+ORACLE_SIZES = ((1, 10), (2, 8), (3, 5))
+ORACLE_WEIGHTS = ("unit", (2, 3, 5), (Fraction(1, 3), 2, Fraction(7, 5)), "custom")
+
+
+def oracle_case(n, top, weights):
+    """Weights and symbols on which matrix_of must match the column loop.
+
+    The symbols: perfbench's pool (n >= 2), the witnesses, two terms on
+    one shift family (t1 and t1*t1*b1, t1 and t1*t2*b2), a scalar, zero
+    and seeded random ones.  The custom table reaches past the
+    truncation as far as the symbols' theta runs do.
+    """
+    rnd = random.Random(repr((n, top, weights)))
+    texts = list(WITNESSES) + ["t1 + t1*t1*b1", "2 - i", "0"]
+    if n >= 2:
+        texts += perfbench_symbol_pool() + ["t1 + t1*t2*b2"]
+    symbols = [parse_element(t, n) for t in texts]
+    for _ in range(3):
+        h = random_holomorphic(rnd, n, max_len=3)
+        symbols += [h, h.star(), random_element(rnd, n, max_len=4)]
+    if weights == "unit":
+        ws = WeightSystem.unit(n)
+    elif weights == "custom":
+        ws = custom_weights(rnd, n, top + 4)
+    else:
+        ws = WeightSystem(n, mu=weights[:n])
+    return ws, symbols
+
+
+@pytest.mark.parametrize("weights", ORACLE_WEIGHTS)
+@pytest.mark.parametrize("n,top", ORACLE_SIZES)
+def test_matrix_of_matches_column_loop(n, top, weights):
+    ws, symbols = oracle_case(n, top, weights)
+    for degree in range(top + 1):
+        space = TruncatedSpace.build(n, degree)
+        for g in symbols:
+            want = outcome(matrix_by_columns, ws, g, space)
+            assert want[0] != "error", want
+            assert outcome(matrix_of, ws, g, space) == want
+
+
+def test_custom_family_ratio_varies():
+    # t1 and t1*t1*b1 share the family (t1, ()): column u goes to row u + t1.
+    # Under a custom table the exact coefficient 1 + w(u t1 t1) / w(u t1)
+    # changes along it, so each entry takes its own two weights
+    rnd = random.Random(8)
+    ws = custom_weights(rnd, 1, 9)
+    g = parse_element("t1 + t1*t1*b1", 1)
+    space = TruncatedSpace.build(1, 7)
+    ratios = {ws.weight((1,) * (m + 2)) / ws.weight((1,) * (m + 1)) for m in range(1, 7)}
+    assert len(ratios) > 1
+    assert outcome(matrix_of, ws, g, space) == outcome(matrix_by_columns, ws, g, space)
+
+
+BIG = Scalar(10**400)
+HUGE = Scalar(10**308)
+RATIO_TABLE = {(1,): 10**200, (1, 1): Fraction(1, 10**200), (1, 1, 1): 1}
+
+
+def scaled(c, text, n=1):
+    return c * parse_element(text, n)
+
+
+# (n, degree, weights, symbol, the start of the error's text)
+ERROR_CASES = [
+    # complex(c) overflows in the empty column, then in a family's
+    (1, 2, (1,), scaled(BIG, "t1"), "matrix entry (t1, 1) is outside float range"),
+    (1, 2, (1,), scaled(BIG, "b1"), "matrix entry (1, t1) is outside float range"),
+    # listed against column order: b1's family starts a column earlier
+    (1, 3, (1,), scaled(BIG, "b1*b1") + scaled(BIG, "b1"), "matrix entry (1, t1) "),
+    # a finite coefficient whose entry overflows, in a family
+    (1, 2, {(1,): 1, (1, 1): 100, (1, 1, 1): 1}, scaled(HUGE, "t1"),
+     "matrix entry (t1*t1, t1) "),
+    # two failing entries in column t1: the first term's is named
+    (1, 2, {(1,): 1, (1, 1): 10**100, (1, 1, 1): 1},
+     scaled(Scalar(10**300), "t1") + scaled(BIG, "b1"), "matrix entry (t1*t1, t1) "),
+    (1, 2, {(1,): 1, (1, 1): 10**100, (1, 1, 1): 1},
+     scaled(BIG, "b1") + scaled(Scalar(10**300), "t1"), "matrix entry (1, t1) "),
+    # t1 and t1*t1*b1 share a family, whose entries come by its first term
+    (1, 2, {(1,): 1, (1, 1): 10**100, (1, 1, 1): 1, (1, 1, 1, 1): 1},
+     scaled(Scalar(10**300), "t1") + scaled(BIG, "b1") + parse_element("t1*t1*b1", 1),
+     "matrix entry (t1*t1, t1) "),
+    # a ratio and an entry in column t1*t1, in the order of their terms
+    (1, 3, RATIO_TABLE, parse_element("b1", 1) + scaled(BIG * BIG, "b1*b1"),
+     "weight ratio w(t1)/w(t1*t1) is outside float range"),
+    (1, 3, RATIO_TABLE, scaled(BIG * BIG, "b1*b1") + parse_element("b1", 1),
+     "matrix entry (1, t1*t1) "),
+    # a ratio in column t1, ahead of the undefined w(t1^4) of column t1^3
+    (1, 3, RATIO_TABLE, parse_element("t1", 1), "weight ratio w(t1*t1)/w(t1) "),
+    # a coefficient that raises in column t1 (t2 at n=1), ahead of an
+    # entry of column t1*t1 and of an entry of its own family
+    (1, 2, (1,), scaled(BIG, "b1*b1") + parse_element("t2*b2*b1", 2),
+     "multi-index entry out of range: 2"),
+    (1, 2, (1,), scaled(BIG, "b1") + parse_element("t2*b2*b1", 2),
+     "multi-index entry out of range: 2"),
+]
+
+
+@pytest.mark.parametrize("n,degree,weights,g,message", ERROR_CASES)
+def test_error_names_the_column_loop_entry(n, degree, weights, g, message):
+    if isinstance(weights, dict):
+        ws = WeightSystem.custom(n, weights)
+    else:
+        ws = WeightSystem(n, mu=weights)
+    space = TruncatedSpace.build(n, degree)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings included
+        got = outcome(matrix_of, ws, g, space)
+    assert got == outcome(matrix_by_columns, ws, g, space)
+    assert got[0] == "error" and got[1].startswith(message)
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [(1, 1), (2, 3), (Fraction(1, 3), 2), (Fraction(7, 5), Fraction(3, 11)),
+     (10**200,), (Fraction(1, 10**400),), (10**200, Fraction(1, 10**150))],
+)
+def test_product_weights_match_fraction_floats(mu):
+    # one correctly rounded division a word, as float(Fraction) takes, with
+    # inf where it overflows and 0.0 where it underflows
+    n = len(mu)
+    ws = WeightSystem(n, mu=mu)
+    space = TruncatedSpace.build(n, 8 if n == 2 else 4)
+    got = matrixrep._product_weights(ws.mu, space.max_length)
+    want = []
+    for i in space.basis:
+        try:
+            want.append(float(ws.weight(i)).hex())
+        except OverflowError:
+            want.append(math.inf.hex())
+    assert [w.hex() for w in got.tolist()] == want
