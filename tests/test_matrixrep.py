@@ -12,7 +12,7 @@ import pytest
 from conftest import custom_weights, matrix_by_columns
 from freetoeplitz import form, matrixrep, projection
 from freetoeplitz.expr import parse_element
-from freetoeplitz.freealg import AlgebraElement, Scalar, theta_word, word_star
+from freetoeplitz.freealg import AlgebraElement, Scalar
 from freetoeplitz.form import WeightSystem
 from freetoeplitz.toeplitz import ToeplitzOperator, random_element, random_holomorphic
 from freetoeplitz.matrixrep import (
