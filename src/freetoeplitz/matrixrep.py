@@ -152,10 +152,10 @@ def _complex(c):
         return complex(math.inf, math.inf)
 
 
-def _family_terms(prepared):
+def _family_terms(op):
     """Shift family (s1, s2) -> the indices of the symbol terms in it, in term order."""
     families = {}
-    for j, term in enumerate(prepared.terms):
+    for j, term in enumerate(op.terms):
         for key in partner_families(term[0])[1]:
             families.setdefault(key, []).append(j)
     return families
@@ -199,7 +199,7 @@ class _Indexer:
         ])
 
 
-def _family_coefficients(prepared, family, js, us, indexer, errors):
+def _family_coefficients(op, family, js, us, indexer, errors):
     """The exact coefficient of a family at column u + s2 for each u of us.
 
     Sums the coefficients of the family's terms js, and returns the sums
@@ -213,7 +213,7 @@ def _family_coefficients(prepared, family, js, us, indexer, errors):
         total = Scalar(0)
         for j in js:
             try:
-                c = prepared.coefficient(j, u + s2 + prepared.terms[j][2], u + s1)
+                c = op.coefficient(j, u + s2 + op.terms[j][2], u + s1)
             except ValueError as e:
                 errors.append(((indexer.index(u + s2), 0, j), e))
                 return exact, rank
@@ -250,7 +250,7 @@ def matrix_of(ws, g, space):
     Built from g's shift families (``projection.partner_families``): a
     family (s1, s2) maps column u + s2 to row u + s1 for every
     holomorphic word u.  Its exact coefficient comes from
-    ``PreparedSymbol.coefficient``: one value for the whole family under
+    ``ToeplitzOperator.coefficient``: one value for the whole family under
     product weights, one per entry under a custom table.  The terms of
     one family are summed exactly before any float, and a family's rows
     and columns are numpy ranges of graded-lex indices.  Only the empty
@@ -272,14 +272,14 @@ def matrix_of(ws, g, space):
     coeffs = [_complex(c) for _, c in hits]
     errors = []  # ((column, 0, term), error) for each coefficient that raised
     indexer, top = _Indexer(space), space.max_length
-    for (s1, s2), js in _family_terms(op.prepared).items():
+    for (s1, s2), js in _family_terms(op).items():
         first = 0 if s2 else 1  # len(u) in the family's first column
         if first + len(s2) > top or not indexer.spells(s2):
             continue
         us = indexer.words(range(first, top - len(s2) + 1))
         if ws.mu is not None:
             us = itertools.islice(us, 1)  # one coefficient for the whole family
-        exact, rank = _family_coefficients(op.prepared, (s1, s2), js, us, indexer, errors)
+        exact, rank = _family_coefficients(op, (s1, s2), js, us, indexer, errors)
         if rank is None:
             continue  # every coefficient is zero, or the first one raised
         # the entries whose row is in the truncation as well
@@ -333,6 +333,9 @@ def _product_terms(x, y):
 def commutator_matrix(m1, m2):
     if m1.dim != m2.dim:
         raise ValueError("dimension mismatch: %d vs %d" % (m1.dim, m2.dim))
+    spaces = [(m.space.n, m.space.max_length) for m in (m1, m2)]
+    if spaces[0] != spaces[1]:
+        raise ValueError("space mismatch: n=%d L=%d vs n=%d L=%d" % (*spaces[0], *spaces[1]))
     k12, v12 = _product_terms(m1, m2)
     k21, v21 = _product_terms(m2, m1)
     keys, values = np.concatenate((k12, k21)), np.concatenate((v12, -v21))

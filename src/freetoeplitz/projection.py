@@ -7,14 +7,15 @@ theta-initial word whose first block is (k, r) that is the prefix i of k
 left over after r is peeled off its end; the kernel's first glue step
 exhausts it, so the value is w(k) <rest, 1> / w(i) from one split.
 ``project(ws, a, b)`` sums the images of the pairs of terms of a and b
-and never builds the product a * b.  It splits each term of b once, as a
-``PreparedSymbol``: for a nonempty holomorphic word wa the first block
-of wa + wb is (wa + t, r), with t, r and the rest fixed by wb alone, so
-each pair costs the partner test and, on a hit, one ``Scalar`` product:
-under product weights w(wa + t) / w(i) = w(r), so the term's coefficient
+and never builds the product a * b.  It takes b as a
+``ToeplitzOperator``, which splits each term of its symbol once: for a
+nonempty holomorphic word wa the first block of wa + wb is (wa + t, r),
+with t, r and the rest fixed by wb alone (``_head``), so each pair costs
+the partner test and, on a hit, one ``Scalar`` product: under product
+weights w(wa + t) / w(i) = w(r), so the term's coefficient
 cb w(r) <rest, 1> is one constant, computed at its first hit and kept.
-A custom table takes its two weights on each hit.  A
-``ToeplitzOperator`` prepares its symbol once for all its applications.
+A custom table takes its two weights on each hit.  An operator is built
+once for all its applications.
 ``project_oracle`` evaluates the defining basis sum by brute force and
 exists purely as an independent cross-check.  ``pairing_candidates``
 lists the pairs of terms of two elements that can pair nonzero, by
@@ -88,24 +89,29 @@ def pairing_candidates(a, b):
                 yield wa, ca, wb, cb
 
 
+def _head(w):
+    """(t, r, rest): for every nonempty holomorphic u, u + w splits as (u + t, r, rest)."""
+    k, r, rest = split_block(w)
+    if w and w[0] < 0:
+        return (), word_star(k), w[len(k):]
+    return k, r, rest
+
+
 def partner_families(x):
     """Every pair (partner(f + x), f) with f a holomorphic word.
 
     Inverts ``partner``'s closed form.  Returns (pairs, families): the
     pairs listed, and for each (s1, s2) in families the pairs
-    (u + s1, u + s2) for every holomorphic word u.  For x theta-initial
-    with first block (k, r), f merges into k, so only f's last
-    len(r) - len(k) letters are constrained.
+    (u + s1, u + s2) for every holomorphic word u.  f + x splits as
+    (f + t, r, ...) by ``_head``, unless f is empty and x bar-initial
+    (t empty, r not), when x pairs with 1 alone.
     """
-    if not x:
-        return [], [((), ())]
-    k, r, _ = split_block(x)
-    if x[0] < 0:
-        return [((), ())], [((), word_star(k))]
-    d = len(k) - len(r)
+    t, r, _ = _head(x)
+    pairs = [((), ())] if r and not t else []
+    d = len(t) - len(r)
     if d >= 0:
-        return [], [(k[:d], ())] if k[d:] == r else []
-    return [], [((), r[:-d])] if r[-d:] == k else []
+        return pairs, [(t[:d], ())] if t[d:] == r else []
+    return pairs, [((), r[:-d])] if r[-d:] == t else []
 
 
 def project_word(ws, g):
@@ -119,28 +125,22 @@ def project_word(ws, g):
     return AlgebraElement.from_word(i, Scalar(c))
 
 
-class PreparedSymbol:
-    """A right factor b of P(a * b) for the weights ws, each term split once.
+class ToeplitzOperator:
+    """Right-symbol Toeplitz operator phi -> P(phi * symbol) for the weights.
 
-    A term wb is kept as (wb, cb, t, r, rest): t is wb's leading theta
-    run (possibly empty), r ``word_star`` of the bar run after it, and
-    rest what follows.  For a nonempty holomorphic word wa the first
+    Each term wb of the symbol is split once, by ``_head``, and kept as
+    (wb, cb, t, r, rest).  For a nonempty holomorphic word wa the first
     block of wa + wb is then (wa + t, r), followed by rest, so a partner
     hit i has the coefficient cb w(wa + t) <rest, 1> / w(i).  Under
     product weights that ratio is w(r), so the coefficient is one
     constant per term, computed at the term's first hit and kept; a
-    custom table takes its two weights on each hit.
+    custom table takes its two weights on each hit, and the term's tail.
     """
 
-    def __init__(self, ws, b):
-        self.ws = ws
-        self.terms = []
-        for wb, cb in b.items():
-            if wb and wb[0] < 0:
-                bars = split_block(wb)[0]
-                self.terms.append((wb, cb, (), word_star(bars), wb[len(bars):]))
-            else:
-                self.terms.append((wb, cb) + split_block(wb))
+    def __init__(self, symbol, weights):
+        self.symbol = symbol
+        self.weights = weights
+        self.terms = [(wb, cb) + _head(wb) for wb, cb in symbol.items()]
         self._tails = {}
         self._coeffs = [None] * len(self.terms)
 
@@ -152,7 +152,7 @@ class PreparedSymbol:
         """
         c = self._coeffs[j]
         if c is None:
-            ws, tails = self.ws, self._tails
+            ws, tails = self.weights, self._tails
             _, cb, _, _, rest = self.terms[j]
             tail = tails.get(rest)
             if tail is None:
@@ -164,7 +164,7 @@ class PreparedSymbol:
 
     def images(self, wa):
         """(i, c) for each term cb * wb with P(wa + wb) = c theta_i nonzero."""
-        ws = self.ws
+        ws = self.weights
         if not wa or not is_holomorphic_word(wa):
             for wb, cb, _, _, _ in self.terms:
                 for i, v in project_word(ws, wa + wb).items():
@@ -185,16 +185,23 @@ class PreparedSymbol:
             if c:
                 yield i, c
 
+    def apply(self, phi):
+        if not phi.is_holomorphic():
+            raise ValueError("argument must lie in the holomorphic subalgebra")
+        return project(self.weights, phi, self)
+
+    __call__ = apply
+
 
 def project(ws, a, b=AlgebraElement.one()):
     """P(a * b), b = 1 by default, summed pair by pair; a * b is never built.
 
-    b is an element or a ``PreparedSymbol`` of ws.  Linear extension of
-    project_word; idempotent with holomorphic range.
+    b is an element or a ``ToeplitzOperator`` of ws.  Linear extension
+    of project_word; idempotent with holomorphic range.
     """
-    if type(b) is not PreparedSymbol:
-        b = PreparedSymbol(ws, b)
-    elif b.ws is not ws:
+    if type(b) is not ToeplitzOperator:
+        b = ToeplitzOperator(b, ws)
+    elif b.weights is not ws:
         raise ValueError("symbol prepared for another weight system")
     out = {}
     for wa, ca in a.items():

@@ -155,8 +155,8 @@ def glue_partner(f1, g):
 
     None when there is none.  The kernel's first gluing step fixes f2: for
     g empty or theta-initial, with first block (k, r) from ``split_block``,
-    f1 + r = k + f2 (for f1 empty that gives f2 = () whenever
-    <(), g> is nonzero); for g bar-initial, f1 is empty and rev(f2) is
+    f1 + r = k + f2, and for f1 empty f2 = () (so r = k), since a nonempty
+    f2* is bar-initial; for g bar-initial, f1 is empty and rev(f2) is
     the partner of g with its letter kinds swapped.
     """
     if g and g[0] < 0:
@@ -164,7 +164,9 @@ def glue_partner(f1, g):
         return None if f2 is None else f2[::-1]
     k, r, _ = split_block(g)
     glued = f1 + r
-    return glued[len(k):] if glued[:len(k)] == k else None
+    if glued[:len(k)] != k or not f1 and len(r) != len(k):
+        return None
+    return glued[len(k):]
 
 
 def compat_scan(holo, max_len, g):

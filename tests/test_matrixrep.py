@@ -110,6 +110,12 @@ def test_commutator_matrix_dim_mismatch(ws2):
     m2 = matrix_of(ws2, w((1,)), TruncatedSpace.build(2, 3))
     with pytest.raises(ValueError, match="dimension mismatch"):
         commutator_matrix(m1, m2)
+    # n=1 L=14 and n=2 L=3 both have dim 15, on different bases
+    m3 = matrix_of(WeightSystem.unit(1), w((1,)), TruncatedSpace.build(1, 14))
+    m4 = matrix_of(ws2, w((1,)), TruncatedSpace.build(2, 3))
+    assert m3.dim == m4.dim == 15
+    with pytest.raises(ValueError, match="space mismatch"):
+        commutator_matrix(m3, m4)
 
 
 def test_weight_ratio_outside_float_range_rejected():

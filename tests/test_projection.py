@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from freetoeplitz import toeplitz
 from freetoeplitz.freealg import AlgebraElement, Scalar, theta_word, word_star
 from freetoeplitz.form import WeightSystem
 from freetoeplitz.kernel import form_factors
 from freetoeplitz.projection import (
-    PreparedSymbol,
+    ToeplitzOperator,
     partner,
     partner_families,
     project,
@@ -201,8 +202,10 @@ def test_project_word_undefined_weight_raises():
 
 
 def test_prepared_symbol_belongs_to_its_weights(ws2, ws23):
+    # the operator is the prepared symbol, one class under both names
+    assert toeplitz.ToeplitzOperator is ToeplitzOperator
     g = AlgebraElement.from_word((-1,)) + AlgebraElement.from_word((1, 2))
     phi = AlgebraElement.from_word((1,))
-    assert project(ws23, phi, PreparedSymbol(ws23, g)) == project(ws23, phi, g)
+    assert project(ws23, phi, ToeplitzOperator(g, ws23)) == project(ws23, phi, g)
     with pytest.raises(ValueError, match="another weight system"):
-        project(ws2, phi, PreparedSymbol(ws23, g))
+        project(ws2, phi, ToeplitzOperator(g, ws23))

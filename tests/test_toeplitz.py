@@ -363,8 +363,8 @@ def test_compat_pairs_match_scan():
                 pairs = compat_pairs(g, holo)
                 assert pairs == compat_scan(flat, max_len, g), (n, max_len, g)
                 total += len(pairs)
-    # 1,439 + 15,357 + 20,089 of them at the largest max_len of each n
-    assert total == 42701
+    # 1,439 + 15,321 + 20,059 of them at the largest max_len of each n
+    assert total == 42619
 
 
 def test_checker_matches_per_pair_oracle():
@@ -389,9 +389,9 @@ def test_checker_matches_per_pair_oracle():
 
 
 def test_compat_pairing_calls_pinned(monkeypatch):
-    # 15,357 pairs at n=2, max_len=5 hold 18,333 listed sides, one glue
+    # 15,321 pairs at n=2, max_len=5 hold 18,281 listed sides, one glue
     # step each; their 57 distinct tails are paired once (three full
-    # pairings per pair made 46,071 calls)
+    # pairings per pair would make 45,963 calls)
     steps = []
     glue_step = toeplitz.glue_step
 
@@ -409,7 +409,7 @@ def test_compat_pairing_calls_pinned(monkeypatch):
     monkeypatch.setattr(toeplitz, "glue_step", counted_step)
     monkeypatch.setattr(WeightSystem, "form_words", counted)
     assert len(check_compatibility(2, 5, WeightSystem.unit(2))) == 8336
-    assert (len(steps), len(tails)) == (18333, 57)
+    assert (len(steps), len(tails)) == (18281, 57)
 
 
 def test_compat_tables_count_every_violation(ws2):
