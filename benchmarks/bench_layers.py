@@ -1,12 +1,14 @@
-"""Time four layers: matrices, Toeplitz columns, the form and exact scalars.
+"""Time five layers: matrices, Toeplitz columns, the compat checker, the form and exact scalars.
 
 Prints milliseconds per ``matrix_of`` call on fixed symbols and
 truncations, microseconds per ``ToeplitzOperator.apply`` column, over
-every basis word of the truncation, per ``WeightSystem.form`` call on
-seeded pairs of elements, and per ``Scalar`` product and sum on fixed
-Gaussian rationals; each figure is the best of REPEAT passes.  Every
-matrix, apply and form pass builds a fresh weight system, and the apply
-pass a fresh operator, as one ``fta matrix`` run does.
+every basis word of the truncation, milliseconds per
+``check_compatibility`` call at the three sizes of perfbench's compat
+workload, microseconds per ``WeightSystem.form`` call on seeded pairs of
+elements, and per ``Scalar`` product and sum on fixed Gaussian
+rationals; each figure is the best of REPEAT passes.  Every matrix,
+apply, compat and form pass builds a fresh weight system, and the apply
+pass a fresh operator, as one ``fta`` run does.
 
 Usage: PYTHONPATH=src python3 benchmarks/bench_layers.py
 """
@@ -21,13 +23,20 @@ from freetoeplitz.expr import parse_element
 from freetoeplitz.form import WeightSystem
 from freetoeplitz.freealg import AlgebraElement, Scalar
 from freetoeplitz.matrixrep import TruncatedSpace, matrix_of
-from freetoeplitz.toeplitz import ToeplitzOperator, random_element, random_holomorphic
+from freetoeplitz.toeplitz import (
+    ToeplitzOperator,
+    check_compatibility,
+    random_element,
+    random_holomorphic,
+)
 
 SYMBOL = "b1*t2 + t1 + 1/2*b2"
 MU = (2, 3)
 DEGREE = 10
 # (symbol, degree) for each matrix_of line, at n=2 mu=2,3
 MATRICES = ((SYMBOL, DEGREE), ("t1", 14))
+# (n, max_len, mu) for each check_compatibility line, as in perfbench's compat
+COMPAT = ((2, 5, (1, 1)), (2, 4, (2, 3)), (1, 8, (1,)))
 PAIRS = 1000
 REPEAT = 5
 SEED = 0
@@ -64,6 +73,17 @@ def bench_columns():
     return best, len(columns)
 
 
+def bench_compat(n, max_len, mu):
+    """Best seconds for one check_compatibility call, and its violation count."""
+    best = float("inf")
+    for _ in range(REPEAT):
+        ws = WeightSystem(n, mu=mu)
+        t0 = time.perf_counter()
+        violations = check_compatibility(n, max_len, ws)
+        best = min(best, time.perf_counter() - t0)
+    return best, len(violations)
+
+
 def bench_form(pairs):
     """Best seconds for one pass of form over the pairs."""
     best = float("inf")
@@ -90,6 +110,10 @@ def main():
     t, cols = bench_columns()
     print("apply   %8.2f us/column  (%s, n=2 L=%d mu=2,3, %d columns)"
           % (1e6 * t / cols, SYMBOL, DEGREE, cols))
+    for n, max_len, mu in COMPAT:
+        t, count = bench_compat(n, max_len, mu)
+        print("compat  %8.2f ms/call    (n=%d L=%d mu=%s, %d violations)"
+              % (1e3 * t, n, max_len, ",".join(map(str, mu)), count))
     rnd = random.Random(SEED)
     general = [(random_element(rnd, 2), random_element(rnd, 2)) for _ in range(PAIRS)]
     holo = [(random_holomorphic(rnd, 2), random_element(rnd, 2)) for _ in range(PAIRS)]

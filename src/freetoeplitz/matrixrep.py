@@ -155,8 +155,8 @@ def _complex(c):
 def _family_terms(op):
     """Shift family (s1, s2) -> the indices of the symbol terms in it, in term order."""
     families = {}
-    for j, term in enumerate(op.terms):
-        for key in partner_families(term[0])[1]:
+    for j, (_, _, t, r, _) in enumerate(op.terms):
+        for key in partner_families(t, r)[1]:
             families.setdefault(key, []).append(j)
     return families
 

@@ -97,16 +97,15 @@ def _head(w):
     return k, r, rest
 
 
-def partner_families(x):
-    """Every pair (partner(f + x), f) with f a holomorphic word.
+def partner_families(t, r):
+    """Every pair (partner(f + x), f) with f a holomorphic word, from x's head.
 
-    Inverts ``partner``'s closed form.  Returns (pairs, families): the
-    pairs listed, and for each (s1, s2) in families the pairs
-    (u + s1, u + s2) for every holomorphic word u.  f + x splits as
-    (f + t, r, ...) by ``_head``, unless f is empty and x bar-initial
-    (t empty, r not), when x pairs with 1 alone.
+    (t, r) are the first two of ``_head(x)``.  Inverts ``partner``'s
+    closed form.  Returns (pairs, families): the pairs listed, and for
+    each (s1, s2) in families the pairs (u + s1, u + s2) for every
+    holomorphic word u.  f + x splits as (f + t, r, ...), unless f is
+    empty and x bar-initial (t empty, r not), when x pairs with 1 alone.
     """
-    t, r, _ = _head(x)
     pairs = [((), ())] if r and not t else []
     d = len(t) - len(r)
     if d >= 0:

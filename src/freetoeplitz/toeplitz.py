@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .expr import format_element, format_scalar, format_word
-from .freealg import AlgebraElement, Scalar, balance, split_block, swap_alphabet, word_star
+from .freealg import AlgebraElement, Scalar, balance, swap_alphabet, word_star
 from .kernel import glue_step
 # perfbench/test_tracer.py checks that its tracer wraps toeplitz.project
-from .projection import ToeplitzOperator, partner, partner_families, project  # noqa: F401
+from .projection import ToeplitzOperator, _head, partner, partner_families, project  # noqa: F401
 
 
 def creation(ws, j, phi):
@@ -199,6 +199,68 @@ class CompatibilityViolation:
     rhs: Fraction
 
 
+def _glued(block, word):
+    """(factor, suffix) of the glue step that exhausts block, or (None, None) if it fails."""
+    step = glue_step(block, word)
+    return (None, None) if step is None else (step[0], step[2])
+
+
+def compat_families(g):
+    """The candidate pairs of ``compat_pairs`` for the word g, unexpanded.
+
+    Each side of the identities pairs a one-block word with another
+    word: f1 in <f1, f2 g>, f2 in <f1 g*, f2> and f1 f2* in <f1 f2*, g>.
+    The kernel's first glue step exhausts that block and leaves a factor
+    and a suffix of g or g*, so the side is w(factor) <suffix, 1>.  With
+    (t, r, rest) = _head(g) and (t', r', rest') = _head(g*), a side-1
+    family member has the factor f1 + r and the suffix rest, a side-2
+    member f2 + r' and rest', and a side-4 member, for g empty or
+    theta-initial with first block (t, r, rest), f1 + r and rest.  So
+    one split of each head gives every member's (factor, suffix); only
+    the few single pairs take a ``glue_step``.
+
+    Only pairs with len(f1) = len(f2) + balance(g) are listed, outside
+    which every side is zero.  Returns (singles, families), with sides
+    numbered 0, 1, 2 for sides 1, 2 and 4: (f1, f2, side, (factor,
+    suffix)) for each single pair, factor None where its glue step
+    fails, and (a, b, c, e, side, suffix) for each family, whose pair
+    (a + u + b, u + c) has the factor a + u + e for every holomorphic
+    word u.
+    """
+    bal = balance(g)
+    gs = word_star(g)
+    t, r, rest = _head(g)
+    ts, rs, rests = _head(gs)
+    pairs1, fams1 = partner_families(t, r)
+    pairs2, fams2 = partner_families(ts, rs)
+    # singles as (f1, f2, side, block, word), glued below
+    singles = [(f1, f2, 0, f1, f2 + g) for f1, f2 in pairs1]
+    singles += [(f1, f2, 1, f2, f1 + gs) for f2, f1 in pairs2]
+    families = [((), s1, s2, s1 + r, 0, rest) for s1, s2 in fams1]
+    families += [((), s2, s1, s1 + rs, 1, rests) for s1, s2 in fams2]
+    # <f1 f2*, g>: for g bar-initial f1 is empty and rev(f2) is the
+    # partner of g with its letter kinds swapped; otherwise f1 + r = t + f2,
+    # so f1 is t + u, or a proper prefix of t that r completes, and empty
+    # only if r = t (else f2* is bar-initial)
+    if g and g[0] < 0:
+        f2 = partner(swap_alphabet(g))
+        if f2 is not None:
+            singles.append(((), f2[::-1], 2, swap_alphabet(f2), g))
+    else:
+        p = len(t)
+        families.append((t, (), r, r, 2, rest))
+        singles += [
+            (t[:j], r[p - j:], 2, t[:j] + word_star(r[p - j:]), g)
+            for j in range(p) if r[:p - j] == t[j:] and (j or r == t)
+        ]
+    singles = [
+        (f1, f2, side, _glued(block, word))
+        for f1, f2, side, block, word in singles if len(f1) == len(f2) + bal
+    ]
+    families = [fam for fam in families if len(fam[0]) + len(fam[1]) == len(fam[2]) + bal]
+    return singles, families
+
+
 def compat_pairs(g, holo):
     """The pairs (f1, f2) that check_compatibility evaluates for the word g.
 
@@ -207,44 +269,30 @@ def compat_pairs(g, holo):
     holomorphic word: side 1, <f1, f2 g>, fixes f1 = partner(f2 g);
     side 2, <f1 g*, f2>, fixes f2 = partner(f1 g*), as word pairings are
     real and symmetric; and side 4, <f1 f2*, g>, fixes f2 once f1 is
-    glued to g's head run.  Each side's pairs are listed from g's runs,
-    in families (a + u + b, u + c) over holomorphic u, and kept only
-    within max_len and where len(f1) = len(f2) + balance(g), outside
-    which every side is zero.  Returns (f1, f2, mask) triples sorted by
-    f2, then f1, where mask is the sum of the sides that listed the
-    pair; every side outside the mask pairs to zero.
+    glued to g's head run.  ``compat_families`` lists each side's pairs
+    from g's head, in families (a + u + b, u + c) over holomorphic u,
+    and they are kept within max_len, outside which every side is zero.
+    Returns (f1, f2, sides) triples sorted by f2, then f1, where sides
+    holds, for sides 1, 2 and 4 in turn, None where that side did not
+    list the pair, which then pairs to zero, and else the side's
+    (factor, suffix) from ``compat_families``.
     """
     max_len = len(holo) - 1
-    bal = balance(g)
-    pairs1, fams1 = partner_families(g)
-    pairs2, fams2 = partner_families(word_star(g))
-    pairs = [pair + (1,) for pair in pairs1] + [(f1, f2, 2) for f2, f1 in pairs2]
-    fams = [((),) + fam + (1,) for fam in fams1] + [((), b, a, 2) for a, b in fams2]
-    # <f1 f2*, g>: for g bar-initial f1 is empty and rev(f2) is the
-    # partner of g with its letter kinds swapped; otherwise f1 + r = k + f2
-    # for g's first block (k, r), so f1 is k + u, a proper prefix of k that
-    # r completes, and empty only if r = k (else f2* is bar-initial)
-    if g and g[0] < 0:
-        f2 = partner(swap_alphabet(g))
-        pairs += [((), f2[::-1], 4)] if f2 is not None else []
-    else:
-        k, r, _ = split_block(g)
-        p = len(k)
-        fams.append((k, (), r, 4))
-        pairs += [(k[:j], r[p - j:], 4) for j in range(p) if r[:p - j] == k[j:] and (j or r == k)]
-    masks = {}
-    for f1, f2, side in pairs:
-        if len(f1) == len(f2) + bal and max(len(f1), len(f2)) <= max_len:
-            masks[f1, f2] = masks.get((f1, f2), 0) | side
-    for a, b, c, side in fams:
-        if len(a) + len(b) == len(c) + bal:
-            room = max_len - max(len(a) + len(b), len(c))
-            for length in range(room + 1):
-                for u in holo[length]:
-                    pair = (a + u + b, u + c)
-                    masks[pair] = masks.get(pair, 0) | side
+    singles, families = compat_families(g)
+    sides = {}
+    for f1, f2, i, closed in singles:
+        if max(len(f1), len(f2)) <= max_len:
+            sides.setdefault((f1, f2), [None, None, None])[i] = closed
+    for a, b, c, e, i, suffix in families:
+        for length in range(max_len - max(len(a) + len(b), len(c)) + 1):
+            for u in holo[length]:
+                pair = (a + u + b, u + c)
+                entry = sides.get(pair)
+                if entry is None:
+                    entry = sides[pair] = [None, None, None]
+                entry[i] = (a + u + e, suffix)
     return sorted(
-        ((f1, f2, mask) for (f1, f2), mask in masks.items()),
+        ((f1, f2, entry) for (f1, f2), entry in sides.items()),
         key=lambda t: (len(t[1]), t[1], t[0]),
     )
 
@@ -254,40 +302,42 @@ def check_compatibility(n, max_len, ws):
 
     f1 and f2 range over the holomorphic words and g over all words of
     length at most max_len.  Only the pairs of ``compat_pairs`` are
-    evaluated, and of each pair only the sides in its mask; every other
-    side is zero.  Each side pairs a one-block word with another word:
-    f1 in <f1, f2 g>, f2 in <f1 g*, f2> and f1 f2* in <f1 f2*, g>.  So
-    the kernel's first ``glue_step`` exhausts that word, and what is left
-    is the pairing of a suffix of g or g* with the empty word, which is
-    computed once per suffix.  Violations come ordered by g, then f2,
-    then f1.
+    evaluated, and of each pair only the sides it lists, each as
+    w(factor) <suffix, 1> from its (factor, suffix); every other side is
+    zero.  Each suffix is paired with the empty word once per call.
+    Weights are positive, so a listed side is zero only where its suffix
+    pairs to zero with 1 or its glue step fails, and two sides are
+    compared as ``Fraction``s only where both are nonzero.  Violations
+    come ordered by g, then f2, then f1.
     """
     letters = [c for j in range(1, n + 1) for c in (j, -j)]
     holo = [list(itertools.product(range(1, n + 1), repeat=r)) for r in range(max_len + 1)]
-    zero = Fraction(0)
-    tail = {}
+    zero, one = Fraction(0), Fraction(1)
+    tails = {}
 
-    def side(block, word):
-        step = glue_step(block, word)
-        if step is None:
-            return zero
-        factor, _, rest = step
-        value = tail.get(rest)
-        if value is None:
-            value = tail[rest] = ws.form_words(rest, ())
-        return ws.weight(factor) * value if value else zero
+    def value(closed):
+        # a listed side's value, or None where it is zero
+        factor, suffix = closed
+        if factor is None:
+            return None
+        tail = tails.get(suffix)
+        if tail is None:
+            tail = ws.form_words(suffix, ())
+            # kept as ``one`` when 1, so that its sides skip a product
+            tail = tails[suffix] = one if tail == 1 else tail
+        if not tail:
+            return None
+        weight = ws.weight(factor)
+        return weight if tail is one else weight * tail
 
     violations = []
     for g in (w for r in range(max_len + 1) for w in itertools.product(letters, repeat=r)):
-        gs = word_star(g)
-        for f1, f2, mask in compat_pairs(g, holo):
-            lhs = side(f1, f2 + g) if mask & 1 else zero
-            rhs1 = side(f2, f1 + gs) if mask & 2 else zero
-            if lhs != rhs1:
-                violations.append(CompatibilityViolation(1, f1, f2, g, lhs, rhs1))
-            rhs2 = side(f1 + word_star(f2), g) if mask & 4 else zero
-            if lhs != rhs2:
-                violations.append(CompatibilityViolation(2, f1, f2, g, lhs, rhs2))
+        for f1, f2, (x1, x2, x4) in compat_pairs(g, holo):
+            lhs, rhs1, rhs2 = x1 and value(x1), x2 and value(x2), x4 and value(x4)
+            if lhs is not rhs1 and (lhs is None or rhs1 is None or lhs != rhs1):
+                violations.append(CompatibilityViolation(1, f1, f2, g, lhs or zero, rhs1 or zero))
+            if lhs is not rhs2 and (lhs is None or rhs2 is None or lhs != rhs2):
+                violations.append(CompatibilityViolation(2, f1, f2, g, lhs or zero, rhs2 or zero))
     return violations
 
 

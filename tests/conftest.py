@@ -202,10 +202,11 @@ def compat_per_pair(n, max_len, ws):
     """Violations of both identities, three pairings per candidate pair.
 
     Evaluates all three sides of every pair of ``toeplitz.compat_pairs``
-    with ``ws.form_words``, whatever its mask, and orders the violations
-    by g, then f2, then f1.  The oracle for
-    ``toeplitz.check_compatibility``, which zeroes the sides outside the
-    mask and evaluates the others by one glue step and a shared tail.
+    with ``ws.form_words``, whatever sides it lists, and orders the
+    violations by g, then f2, then f1.  The oracle for
+    ``toeplitz.check_compatibility``, which zeroes the sides a pair does
+    not list and evaluates the others from their (factor, suffix) and a
+    shared tail.
     """
     letters = [c for j in range(1, n + 1) for c in (j, -j)]
     holo = [list(itertools.product(range(1, n + 1), repeat=r)) for r in range(max_len + 1)]

@@ -240,9 +240,9 @@ def test_sparse_adjoint_defect_matches_dense_formula(n, degree, mu):
 def test_projection_work_pinned(monkeypatch):
     # at n=2 L=6, b1*t2 + t1 + 1/2*b2 has 126 nonzeros in 127 columns, and
     # matrix_of applies the operator once, to the empty basis word.  The
-    # splits: the operator splits its three terms once; partner_families
-    # splits each again to find its shift family; and project_word splits
-    # t1, the one theta-initial term, in the empty column.  The pairings:
+    # splits: the operator splits its three terms once, and each term's
+    # shift family comes from that split; and project_word splits t1, the
+    # one theta-initial term, in the empty column.  The pairings:
     # the empty column pairs each of the three words with 1, and the
     # families' coefficients take the two kept tails, <t2, 1> for b1*t2
     # and <1, 1>, shared by t1 and b2
@@ -269,7 +269,7 @@ def test_projection_work_pinned(monkeypatch):
     m = matrix_of(WeightSystem(2, mu=(2, 3)), g, TruncatedSpace.build(2, 6))
     assert len(m.values) == 126
     assert applied == [AlgebraElement.one()]
-    assert (len(splits), len(pairings)) == (7, 5)
+    assert (len(splits), len(pairings)) == (4, 5)
 
 
 def perfbench_symbol_pool():

@@ -9,6 +9,7 @@ import pytest
 from freetoeplitz.freealg import AlgebraElement, Scalar, theta_word, word_star
 from freetoeplitz import toeplitz
 from freetoeplitz.form import WeightSystem
+from freetoeplitz.kernel import glue_step
 from freetoeplitz.projection import partner, project_word
 from freetoeplitz.toeplitz import (
     CounterexampleValues,
@@ -352,23 +353,50 @@ def test_candidate_checker_matches_enumeration():
 def test_compat_pairs_match_scan():
     # for every g, the pairs listed from g's runs are the pairs that the
     # closed forms give when tried on every holomorphic word, and each
-    # pair's mask names every side whose closed form gave it: a missing
-    # bit would zero a side that the checker never evaluates
+    # pair lists every side whose closed form gave it: a missing side
+    # would be zeroed without being evaluated
     total = 0
     for n, top in ((1, 8), (2, 5), (3, 4)):
         for max_len in range(top + 1):
             holo = [list(itertools.product(range(1, n + 1), repeat=r)) for r in range(max_len + 1)]
             flat = [f for words in holo for f in words]
             for g in all_words(n, max_len):
-                pairs = compat_pairs(g, holo)
+                pairs = [
+                    (f1, f2, sum(bit for bit, x in zip((1, 2, 4), sides) if x is not None))
+                    for f1, f2, sides in compat_pairs(g, holo)
+                ]
                 assert pairs == compat_scan(flat, max_len, g), (n, max_len, g)
                 total += len(pairs)
     # 1,439 + 15,321 + 20,059 of them at the largest max_len of each n
     assert total == 42619
 
 
+def test_closed_forms_match_glue_step():
+    # each listed side's (factor, suffix) is the kernel's first glue step
+    # on that side's words, which exhausts the one-block word, and factor
+    # is None where that step fails.  A pair's sides do not depend on
+    # max_len, so the largest max_len of each n covers the smaller ones
+    checked = failed = 0
+    for n, max_len in ((1, 8), (2, 5), (3, 4)):
+        holo = [list(itertools.product(range(1, n + 1), repeat=r)) for r in range(max_len + 1)]
+        for g in all_words(n, max_len):
+            gs = word_star(g)
+            for f1, f2, sides in compat_pairs(g, holo):
+                words = ((f1, f2 + g), (f2, f1 + gs), (f1 + word_star(f2), g))
+                for (block, word), x in zip(words, sides):
+                    if x is not None:
+                        factor, suffix = x
+                        expected = None if factor is None else (factor, (), suffix)
+                        assert glue_step(block, word) == expected, (g, f1, f2, x)
+                        checked += 1
+                        failed += factor is None
+    # not vacuous: every listed side of the 1,439 + 15,321 + 20,059 pairs,
+    # 554 of them zero at the glue step
+    assert (checked, failed) == (2439 + 18281 + 25845, 52 + 76 + 426)
+
+
 def test_checker_matches_per_pair_oracle():
-    # ordered lists with exact values: one glue step per listed side and
+    # ordered lists with exact values: each listed side's closed form and
     # a memoised tail give what three full pairings per pair give
     cases = [(1, L, (2,)) for L in range(9)]
     cases += [(2, L, (2, 3)) for L in range(6)]
@@ -389,27 +417,34 @@ def test_checker_matches_per_pair_oracle():
 
 
 def test_compat_pairing_calls_pinned(monkeypatch):
-    # 15,321 pairs at n=2, max_len=5 hold 18,281 listed sides, one glue
-    # step each; their 57 distinct tails are paired once (three full
-    # pairings per pair would make 45,963 calls)
-    steps = []
-    glue_step = toeplitz.glue_step
+    # at n=2, max_len=5 the 15,321 pairs hold 18,281 listed sides.  The
+    # 1,365 words g list 1,129 families, whose members' sides are read in
+    # closed form, and 338 single pairs, one glue step each; their 57
+    # distinct suffixes are paired with 1 once (three full pairings per
+    # pair would make 45,963 calls)
+    steps, tails, families = [], [], []
+    compat_families = toeplitz.compat_families
 
     def counted_step(f, g):
         steps.append(None)
         return glue_step(f, g)
 
-    tails = []
     form_words = WeightSystem.form_words
 
     def counted(self, f, g):
         tails.append(None)
         return form_words(self, f, g)
 
+    def counted_families(g):
+        out = compat_families(g)
+        families.extend(out[1])
+        return out
+
     monkeypatch.setattr(toeplitz, "glue_step", counted_step)
+    monkeypatch.setattr(toeplitz, "compat_families", counted_families)
     monkeypatch.setattr(WeightSystem, "form_words", counted)
     assert len(check_compatibility(2, 5, WeightSystem.unit(2))) == 8336
-    assert (len(steps), len(tails)) == (18281, 57)
+    assert (len(steps), len(tails), len(families)) == (338, 57, 1129)
 
 
 def test_compat_tables_count_every_violation(ws2):
