@@ -1,6 +1,7 @@
-"""Time five layers: matrices, Toeplitz columns, the compat checker, the form and exact scalars.
+"""Time six layers: spaces, matrices, Toeplitz columns, compat, the form and exact scalars.
 
-Prints milliseconds per ``matrix_of`` call on fixed symbols and
+Prints microseconds per ``TruncatedSpace.build`` call at n=2 and the
+degrees in SPACES, milliseconds per ``matrix_of`` call on fixed symbols and
 truncations, microseconds per ``ToeplitzOperator.apply`` column, over
 every basis word of the truncation, milliseconds per
 ``check_compatibility`` call at the three sizes of perfbench's compat
@@ -33,6 +34,8 @@ from freetoeplitz.toeplitz import (
 SYMBOL = "b1*t2 + t1 + 1/2*b2"
 MU = (2, 3)
 DEGREE = 10
+# the degree of each TruncatedSpace.build line, at n=2
+SPACES = (10, 14)
 # (symbol, degree) for each matrix_of line, at n=2 mu=2,3
 MATRICES = ((SYMBOL, DEGREE), ("t1", 14))
 # (n, max_len, mu) for each check_compatibility line, as in perfbench's compat
@@ -44,6 +47,16 @@ SEED = 0
 SCALAR_OPS = 100000
 REAL = Fraction(2, 3)
 COMPLEX = ((Fraction(-1, 3), Fraction(1, 2)), (Fraction(5, 7), Fraction(1, 9)))
+
+
+def bench_space(degree):
+    """Best seconds for one TruncatedSpace.build call, and the space's dim."""
+    best = float("inf")
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        space = TruncatedSpace.build(2, degree)
+        best = min(best, time.perf_counter() - t0)
+    return best, space.dim
 
 
 def bench_matrix(symbol, degree):
@@ -103,6 +116,9 @@ def bench_scalar(stmt, x, y):
 
 def main():
     print("python %s" % platform.python_version())
+    for degree in SPACES:
+        t, dim = bench_space(degree)
+        print("space   %8.2f us/build   (n=2 L=%d, dim %d)" % (1e6 * t, degree, dim))
     for symbol, degree in MATRICES:
         t, nonzeros = bench_matrix(symbol, degree)
         print("matrix  %8.2f ms/call    (%s, n=2 L=%d mu=2,3, %d nonzeros)"

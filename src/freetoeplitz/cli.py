@@ -55,10 +55,9 @@ def _build_parser():
 
     def common(p):
         p.add_argument("--n", type=n_type, default=2, help="generator count")
-        p.add_argument("--mu", help="comma-separated positive rationals")
-        p.add_argument(
-            "--weights", help="file in 'mu = r1, r2, ...' format"
-        )
+        weights = p.add_mutually_exclusive_group()
+        weights.add_argument("--mu", help="comma-separated positive rationals")
+        weights.add_argument("--weights", help="file in 'mu = r1, r2, ...' format")
 
     p = sub.add_parser("form", help="evaluate the sesquilinear form")
     p.add_argument("first")

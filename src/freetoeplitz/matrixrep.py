@@ -1,13 +1,14 @@
 """Float matrix truncations of Toeplitz operators.
 
 The degree-<=L truncation of the holomorphic space is spanned by the
-multi-indices in graded-lex order, so a word's index is the count of
-shorter words plus its base-n value.  A Toeplitz operator is a finite
-sum of shift families, each mapping u + s2 to a multiple of u + s1 for
-every holomorphic u, and ``matrix_of`` writes each family at once.
-Matrix entries are exact form values in the orthonormal basis, with
-the square roots (and only those) taken in floating point at the very
-end.  Only nonzero entries are stored.
+multi-indices in graded-lex order.  A word's index is the count of
+shorter words plus its base-n value; ``TruncatedSpace`` maps words and
+indices both ways by this arithmetic alone.  A Toeplitz operator is a
+finite sum of shift families, each mapping u + s2 to a multiple of
+u + s1 for every holomorphic u, and ``matrix_of`` writes each family at
+once as index ranges.  Entries are exact form values in the orthonormal
+basis, with only the square roots taken in floating point, at the end;
+only nonzero entries are stored.
 """
 
 from __future__ import annotations
@@ -28,24 +29,79 @@ from .toeplitz import ToeplitzOperator
 
 @dataclass(frozen=True)
 class TruncatedSpace:
+    """The words of length at most max_length over the letters 1..n, graded-lex.
+
+    Indices come by arithmetic and nothing of size dim is stored:
+    ``basis`` is a tuple built on each access, ``index`` a read-only view.
+    """
+
     n: int
     max_length: int
-    basis: tuple
-    index: dict
 
     @classmethod
     def build(cls, n, max_length):
-        basis = tuple(
-            i
-            for r in range(max_length + 1)
-            for i in itertools.product(range(1, n + 1), repeat=r)
-        )
-        index = {i: k for k, i in enumerate(basis)}
-        return cls(n=n, max_length=max_length, basis=basis, index=index)
+        return cls(n, max_length)
+
+    def start(self, m):
+        """The index of the first word of length m: the count of shorter words."""
+        return m if self.n == 1 else (self.n**m - 1) // (self.n - 1)
 
     @property
     def dim(self):
-        return len(self.basis)
+        return self.start(self.max_length + 1)
+
+    @property
+    def basis(self):
+        return tuple(self.words(range(self.max_length + 1)))
+
+    @property
+    def index(self):
+        return _Index(self)
+
+    def spells(self, word):
+        """Whether every letter of word is one of 1..n."""
+        return all(1 <= x <= self.n for x in word)
+
+    def value(self, word):
+        """The base-n value of a word, its rank among the words of its length."""
+        return sum((x - 1) * self.n**e for e, x in enumerate(reversed(word)))
+
+    def word(self, k):
+        """The word at index k."""
+        if not 0 <= k < self.dim:
+            raise IndexError(k)
+        m = next(m for m in range(self.max_length + 1) if k < self.start(m + 1))
+        v = int(k) - self.start(m)
+        return tuple(v // self.n**e % self.n + 1 for e in reversed(range(m)))
+
+    def words(self, lengths):
+        """Every word with its length in the range lengths, in graded-lex order."""
+        return (u for m in lengths for u in itertools.product(range(1, self.n + 1), repeat=m))
+
+    def shifted(self, s, lengths):
+        """The indices of u + s for each u with len(u) in lengths, in the order of u."""
+        n, v = self.n, self.value(s)
+        return np.concatenate([np.zeros(0, dtype=np.intp)] + [
+            np.arange(n**m, dtype=np.intp) * n ** len(s) + (self.start(m + len(s)) + v)
+            for m in lengths
+        ])
+
+
+@dataclass(frozen=True)
+class _Index:
+    """A space's word -> index map, by arithmetic; words outside it are missing."""
+
+    space: TruncatedSpace
+
+    def get(self, word, default=None):
+        s = self.space
+        inside = len(word) <= s.max_length and s.spells(word)
+        return s.start(len(word)) + s.value(word) if inside else default
+
+    def __getitem__(self, word):
+        if (k := self.get(word)) is None:
+            raise KeyError(word)
+        return k
 
 
 @dataclass(frozen=True)
@@ -76,16 +132,10 @@ class OperatorMatrix:
 
 
 def _sparse(space, symbol_text, keys, values):
-    """Matrix from terms at flat positions row * dim + col.
-
-    Terms sharing a position are summed in their input order, and exact
-    zeros are dropped.
-    """
+    """Matrix of terms at flat keys row * dim + col, summed in input order, zeros dropped."""
     order = np.argsort(keys, kind="stable")
     keys, values = keys[order], values[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(first)
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are nonnegative
     sums = np.add.reduceat(values, starts) if len(starts) else values
     keep = sums != 0
     rows, cols = np.divmod(keys[starts][keep], space.dim)
@@ -100,25 +150,19 @@ def _quotient(a, b):
         return math.inf
 
 
-def _weight_error(i):
-    return ValueError("weight w(%s) is outside float range" % format_word(i))
-
-
 def _float_weight(ws, i):
     """w(i) as a float, which the normalisation divides and square-roots."""
-    w = ws.weight(i)
-    w = _quotient(w.numerator, w.denominator)
+    w = _quotient(*ws.weight(i).as_integer_ratio())
     if not 0 < w < math.inf:
-        raise _weight_error(i)
+        raise ValueError("weight w(%s) is outside float range" % format_word(i))
     return w
 
 
 def _product_weights(mu, max_length):
     """Float w(i) under the product weights mu for each multi-index i, graded-lex.
 
-    Built level by level on integer numerators and denominators, with
-    one division a word; inf where w(i) overflows, 0.0 where it
-    underflows.
+    Built level by level on integer numerators and denominators, one division
+    a word; inf where w(i) overflows, 0.0 where it underflows.
     """
     ps, qs = [m.numerator for m in mu], [m.denominator for m in mu]
     nums, dens, out = [1], [1], [1.0]
@@ -126,21 +170,20 @@ def _product_weights(mu, max_length):
         nums = [a * p for a in nums for p in ps]
         dens = [b * q for b in dens for q in qs]
         try:
-            level = list(map(operator.truediv, nums, dens))
+            out += list(map(operator.truediv, nums, dens))
         except OverflowError:
-            level = list(map(_quotient, nums, dens))
-        out += level
+            out += map(_quotient, nums, dens)
     return np.array(out)
 
 
 def _basis_weights(ws, space):
     """Float w(i) for each basis word i; the first one outside float range raises."""
     if ws.mu is None:
-        return np.array([_float_weight(ws, i) for i in space.basis])
+        return np.array([_float_weight(ws, i) for i in space.words(range(space.max_length + 1))])
     weights = _product_weights(ws.mu, space.max_length)
     bad = np.flatnonzero(~((weights > 0) & (weights < math.inf)))
     if bad.size:
-        raise _weight_error(space.basis[bad[0]])
+        _float_weight(ws, space.word(bad[0]))  # raises: it rounds w(i) alike
     return weights
 
 
@@ -161,45 +204,7 @@ def _family_terms(op):
     return families
 
 
-class _Indexer:
-    """Graded-lex indices by arithmetic: the count of shorter words plus the base-n value."""
-
-    def __init__(self, space):
-        self.n = n = space.n
-        self.starts = [0]  # starts[m]: the count of words shorter than m
-        for m in range(space.max_length + 1):
-            self.starts.append(self.starts[-1] + n**m)
-
-    def spells(self, word):
-        """Whether every letter of word is one of 1..n."""
-        return all(1 <= x <= self.n for x in word)
-
-    def value(self, word):
-        """The base-n value of a word, its rank among the words of its length."""
-        v = 0
-        for x in word:
-            v = v * self.n + x - 1
-        return v
-
-    def index(self, word):
-        return self.starts[len(word)] + self.value(word)
-
-    def words(self, lengths):
-        """Every word with its length in lengths, in graded-lex order."""
-        letters = range(1, self.n + 1)
-        return (u for m in lengths for u in itertools.product(letters, repeat=m))
-
-    def shifted(self, s, lengths):
-        """The indices of u + s for each u with len(u) in lengths, in the order of u."""
-        n, v = self.n, self.value(s)
-        step = n ** len(s)
-        return np.concatenate([np.zeros(0, dtype=np.intp)] + [
-            np.arange(n**m, dtype=np.intp) * step + (self.starts[m + len(s)] + v)
-            for m in lengths
-        ])
-
-
-def _family_coefficients(op, family, js, us, indexer, errors):
+def _family_coefficients(op, family, js, us, index, errors):
     """The exact coefficient of a family at column u + s2 for each u of us.
 
     Sums the coefficients of the family's terms js, and returns the sums
@@ -215,7 +220,7 @@ def _family_coefficients(op, family, js, us, indexer, errors):
             try:
                 c = op.coefficient(j, u + s2 + op.terms[j][2], u + s1)
             except ValueError as e:
-                errors.append(((indexer.index(u + s2), 0, j), e))
+                errors.append(((index[u + s2], 0, j), e))
                 return exact, rank
             if c:
                 total += c
@@ -235,11 +240,9 @@ def _first_error(space, rows, cols, ranks, ratios, values, errors):
     bad = np.flatnonzero(bad_ratio | ~np.isfinite(values))
     if bad.size:
         p = bad[np.lexsort((ranks[bad], cols[bad]))[0]]
-        w, k = (format_word(space.basis[x]) for x in (rows[p], cols[p]))
-        if bad_ratio[p]:
-            error = ValueError("weight ratio w(%s)/w(%s) is outside float range" % (w, k))
-        else:
-            error = ValueError("matrix entry (%s, %s) is outside float range" % (w, k))
+        what = "weight ratio w(%s)/w(%s)" if bad_ratio[p] else "matrix entry (%s, %s)"
+        words = tuple(format_word(space.word(x)) for x in (rows[p], cols[p]))
+        error = ValueError(what % words + " is outside float range")
         errors = errors + [((cols[p], 1, ranks[p]), error)]
     return min(errors, key=lambda e: e[0])[1] if errors else None
 
@@ -248,43 +251,41 @@ def matrix_of(ws, g, space):
     """Matrix of T_g on the truncation, in the orthonormal basis.
 
     Built from g's shift families (``projection.partner_families``): a
-    family (s1, s2) maps column u + s2 to row u + s1 for every
-    holomorphic word u.  Its exact coefficient comes from
-    ``ToeplitzOperator.coefficient``: one value for the whole family under
-    product weights, one per entry under a custom table.  The terms of
-    one family are summed exactly before any float, and a family's rows
-    and columns are numpy ranges of graded-lex indices.  Only the empty
-    basis word's column goes through ``ToeplitzOperator.apply``, so the
-    families start at u nonempty when s2 is empty.  Each entry is
-    complex(c) * sqrt(w(row) / w(col)), and entries of degree above the
-    truncation are dropped.  A weight, weight ratio or entry whose float
-    is not finite, or a zero weight or ratio, raises ValueError, as
-    does a coefficient that cannot be taken; the one raised is the
-    first that applying and checking the columns in turn would meet.
+    family (s1, s2) maps column u + s2 to row u + s1 for every holomorphic
+    word u, with one exact coefficient (``ToeplitzOperator.coefficient``)
+    under product weights and one per entry under a custom table.  A
+    family's terms are summed exactly before any float.  Only the empty
+    column goes through ``ToeplitzOperator.apply``, so the families start
+    at u nonempty when s2 is empty.  Each entry is complex(c) *
+    sqrt(w(row) / w(col)); entries above the truncation are dropped.
+    Weights and a space of different n raise ValueError, as do a weight,
+    ratio or entry outside float range and a coefficient that cannot be
+    taken: the first that applying and checking the columns in turn meets.
     """
+    if ws.n != space.n:
+        raise ValueError("the weights have n=%d but the space has n=%d" % (ws.n, space.n))
     op = ToeplitzOperator(g, ws)
     weights = _basis_weights(ws, space)
-    index = space.index
-    hits = [(index[w], c) for w, c in op.apply(AlgebraElement.one()).items() if w in index]
+    column = op.apply(AlgebraElement.one()).items()
+    hits = [(k, c) for w, c in column if (k := space.index.get(w)) is not None]
     rows = [np.array([r for r, _ in hits], dtype=np.intp)]
     cols = [np.zeros(len(hits), dtype=np.intp)]
     ranks = [np.arange(len(hits))]
     coeffs = [_complex(c) for _, c in hits]
-    errors = []  # ((column, 0, term), error) for each coefficient that raised
-    indexer, top = _Indexer(space), space.max_length
+    top, errors = space.max_length, []  # errors: ((column, 0, term), error) per raise
     for (s1, s2), js in _family_terms(op).items():
         first = 0 if s2 else 1  # len(u) in the family's first column
-        if first + len(s2) > top or not indexer.spells(s2):
+        if first + len(s2) > top or not space.spells(s2):
             continue
-        us = indexer.words(range(first, top - len(s2) + 1))
+        us = space.words(range(first, top - len(s2) + 1))
         if ws.mu is not None:
             us = itertools.islice(us, 1)  # one coefficient for the whole family
-        exact, rank = _family_coefficients(op, (s1, s2), js, us, indexer, errors)
+        exact, rank = _family_coefficients(op, (s1, s2), js, us, space.index, errors)
         if rank is None:
             continue  # every coefficient is zero, or the first one raised
         # the entries whose row is in the truncation as well
-        lengths = range(first, top - max(len(s1), len(s2)) + 1) if indexer.spells(s1) else ()
-        fr, fc = indexer.shifted(s1, lengths), indexer.shifted(s2, lengths)
+        lengths = range(first, top - max(len(s1), len(s2)) + 1) if space.spells(s1) else ()
+        fr, fc = space.shifted(s1, lengths), space.shifted(s2, lengths)
         if ws.mu is None:
             keep = [p for p, c in enumerate(exact[: len(fr)]) if c]
             fr, fc = fr[keep], fc[keep]
@@ -350,10 +351,8 @@ def _nonzero_entries(m):
 
 def to_csv(m):
     """CSV export: header plus one line per nonzero entry."""
-    lines = ["row,col,re,im"]
-    for r, c, re, im in _nonzero_entries(m):
-        lines.append("%d,%d,%.17g,%.17g" % (r, c, re, im))
-    return "\n".join(lines) + "\n"
+    lines = ["%d,%d,%.17g,%.17g" % e for e in _nonzero_entries(m)]
+    return "\n".join(["row,col,re,im"] + lines) + "\n"
 
 
 def to_json(m):

@@ -152,6 +152,11 @@ COUNTEREXAMPLES = (
     (1, (1,), (1, 2), (-2, 1, -1)),
     (2, (1,), (1,), (2, -2)),
 )
+# the smallest failures at n = 1, as the same keys
+N1_WITNESSES = (
+    (1, (1,), (), (1, -1, 1)),
+    (2, (1,), (1, 1), (-1,)),
+)
 
 
 class CounterexampleValues(NamedTuple):
@@ -346,16 +351,19 @@ def compat_suite(ws, max_len):
 
     Returns (violations, passed, partial).  At n = 1 the suite passes
     only on an empty list; the identities are false there too, so it
-    fails.  At n >= 2 every canonical counterexample whose words fit in
-    max_len must be found; ``partial`` names those that do not fit, or
-    is empty.
+    fails once max_len reaches a witness.  At n >= 2 every canonical
+    counterexample whose words fit in max_len must be found.  ``partial``
+    names the counterexamples (``N1_WITNESSES`` at n = 1) that do not
+    fit, or is empty.
     """
     violations = check_compatibility(ws.n, max_len, ws)
+    keys = COUNTEREXAMPLES if ws.n > 1 else N1_WITNESSES
+    unreached = [key for key in keys if max(map(len, key[1:])) > max_len]
     if ws.n == 1:
-        return violations, not violations, ""
-    found = {(v.prop, v.f1, v.f2, v.g) for v in violations}
-    unreached = [key for key in COUNTEREXAMPLES if max(map(len, key[1:])) > max_len]
-    passed = found.issuperset(key for key in COUNTEREXAMPLES if key not in unreached)
+        passed = not violations
+    else:
+        found = {(v.prop, v.f1, v.f2, v.g) for v in violations}
+        passed = found.issuperset(key for key in keys if key not in unreached)
     partial = " or ".join(
         "the identity-%d counterexample (f1 = %s, f2 = %s, g = %s)"
         % (key[0], *map(format_word, key[1:]))

@@ -176,6 +176,18 @@ def test_weights_file(tmp_path, capsys):
     assert out.strip() == "2"
 
 
+def test_weights_file_and_mu_conflict(tmp_path, capsys):
+    cfg = tmp_path / "weights.txt"
+    cfg.write_text("mu = 2, 3\n")
+    with pytest.raises(SystemExit) as e:
+        main(["form", "t1", "t1", "--mu", "5,7", "--weights", str(cfg)])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+    assert run(capsys, "form", "t1", "t1", "--mu", "5,7") == (0, "5\n")
+
+
 def test_malformed_expression_exits_2():
     assert main(["form", "t1 +", "t1", "--n", "2"]) == 2
     assert main(["project", "qq", "--n", "2"]) == 2
@@ -288,6 +300,28 @@ def test_check_compat_reports_partial_check(capsys):
     code, out = run(capsys, "check", "--suite", "compat", "--n", "2", "--max-len", "3")
     assert code == 0
     assert "partial" not in out and len(out.splitlines()) == 1
+
+
+def test_check_compat_n1_names_the_witnesses_out_of_reach(capsys):
+    witness1 = "identity-1 counterexample (f1 = t1, f2 = 1, g = t1*b1*t1)"
+    witness2 = "identity-2 counterexample (f1 = t1, f2 = t1*t1, g = b1)"
+    argv = ("check", "--suite", "compat", "--n", "1", "--max-len")
+    for max_len in (0, 1):
+        code, out = run(capsys, *argv, str(max_len))
+        assert code == 0
+        assert out.splitlines() == [
+            "compat: 0 violations (n=1, max_len=%d)" % max_len,
+            "compat: partial check: max_len=%d cannot reach the %s or the %s"
+            % (max_len, witness1, witness2),
+        ]
+    code, out = run(capsys, *argv, "2")
+    assert code == 1
+    assert out.splitlines() == [
+        "compat: 1 violations (n=1, max_len=2)",
+        "compat: partial check: max_len=2 cannot reach the " + witness1,
+    ]
+    code, out = run(capsys, *argv, "3")
+    assert (code, out) == (1, "compat: 14 violations (n=1, max_len=3)\n")
 
 
 # A small grammar of fta command lines.  Expressions have at most three

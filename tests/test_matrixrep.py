@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import math
 import pathlib
@@ -33,6 +34,59 @@ def test_space_basis_graded_lex():
     space = TruncatedSpace.build(2, 2)
     assert space.dim == 1 + 2 + 4
     assert space.basis == ((), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2))
+
+
+def enumerated_basis(n, max_length):
+    """Every word of length <= max_length over 1..n, shorter first, each length lexicographic."""
+    letters = range(1, n + 1)
+    return [u for m in range(max_length + 1) for u in itertools.product(letters, repeat=m)]
+
+
+@pytest.mark.parametrize("n,top", [(1, 12), (2, 8), (3, 5)])
+def test_space_arithmetic_matches_enumeration(n, top):
+    # matrix_by_columns reads the space through basis and index, so this
+    # enumeration is what keeps the column-loop oracle independent
+    for max_length in range(top + 1):
+        space = TruncatedSpace.build(n, max_length)
+        words = enumerated_basis(n, max_length)
+        assert space.dim == len(words)
+        assert space.basis == tuple(words)
+        index = space.index
+        for k, u in enumerate(words):
+            assert index[u] == index.get(u) == k
+            assert space.word(k) == u
+        want = {u: k for k, u in enumerate(words)}
+        for s in words:
+            for lo in range(max_length - len(s) + 1):
+                lengths = range(lo, max_length - len(s) + 1)
+                got = space.shifted(s, lengths).tolist()
+                assert got == [want[u + s] for u in words if len(u) in lengths]
+        for word in ((1,) * (max_length + 1), (n + 1,), (1, -1), (-1,)):
+            assert index.get(word) is None
+            with pytest.raises(KeyError):
+                index[word]
+        for k in (-1, space.dim):
+            with pytest.raises(IndexError):
+                space.word(k)
+
+
+def test_space_size_is_arithmetic():
+    # 100,010,001 words, none of them built
+    space = TruncatedSpace.build(10000, 2)
+    assert space.dim == 100_010_001
+    assert space.index[(10000, 10000)] == space.dim - 1
+    assert space.word(space.dim - 1) == (10000, 10000)
+    assert space.index[(1,)] == 1 and space.index[(1, 1)] == 10001
+
+
+@pytest.mark.parametrize("weights_n,space_n", [(2, 1), (2, 3)])
+def test_weights_and_space_of_different_n_rejected(weights_n, space_n):
+    ws = WeightSystem(weights_n, mu=(2, 3))
+    space = TruncatedSpace.build(space_n, 3 if space_n == 1 else 2)
+    message = "the weights have n=%d but the space has n=%d" % (weights_n, space_n)
+    for build in (matrix_of, adjoint_defect):
+        with pytest.raises(ValueError, match=message):
+            build(ws, w((1,)), space)
 
 
 def test_identity_symbol(ws2):

@@ -530,3 +530,17 @@ def test_compat_suite_pass_rule(monkeypatch):
     monkeypatch.setattr(toeplitz, "check_compatibility", real)
     _, passed, partial = compat_suite(ws2, 2)
     assert passed and "g = b2*t1*b1" in partial
+
+
+def test_n1_witnesses_are_the_first_violations():
+    # each n = 1 witness is a violation from the max_len its words need,
+    # and the partial line names it only below that max_len
+    ws1 = WeightSystem.unit(1)
+    for max_len in range(4):
+        violations, passed, partial = compat_suite(ws1, max_len)
+        found = {(v.prop, v.f1, v.f2, v.g) for v in violations}
+        for key in toeplitz.N1_WITNESSES:
+            reached = max(map(len, key[1:])) <= max_len
+            assert (key in found) == reached
+            assert ("identity-%d" % key[0] in partial) != reached
+        assert passed == (not violations) == (max_len < 2)
