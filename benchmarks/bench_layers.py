@@ -2,8 +2,8 @@
 
 Prints microseconds per ``TruncatedSpace.build`` call at n=2 and the
 degrees in SPACES, milliseconds per ``matrix_of`` call on fixed symbols and
-truncations, microseconds per ``ToeplitzOperator.apply`` column, over
-every basis word of the truncation, milliseconds per
+truncations, microseconds per ``ToeplitzOperator.apply`` column on the
+symbols in APPLIES, over every basis word of the truncation, milliseconds per
 ``check_compatibility`` call at the three sizes of perfbench's compat
 workload, microseconds per ``WeightSystem.form`` call on seeded pairs of
 elements, and per ``Scalar`` product and sum on fixed Gaussian
@@ -38,6 +38,9 @@ DEGREE = 10
 SPACES = (10, 14)
 # (symbol, degree) for each matrix_of line, at n=2 mu=2,3
 MATRICES = ((SYMBOL, DEGREE), ("t1", 14))
+# the symbol of each apply line, at n=2 L=DEGREE mu=2,3; the second one's
+# four terms fall in two shift families
+APPLIES = (SYMBOL, "t1*t2*b2 + t1 + t1*b1 + 1")
 # (n, max_len, mu) for each check_compatibility line, as in perfbench's compat
 COMPAT = ((2, 5, (1, 1)), (2, 4, (2, 3)), (1, 8, (1,)))
 PAIRS = 1000
@@ -72,9 +75,9 @@ def bench_matrix(symbol, degree):
     return best, len(m.values)
 
 
-def bench_columns():
+def bench_columns(symbol):
     """Best seconds for one pass of apply over the basis, and the column count."""
-    g = parse_element(SYMBOL, 2)
+    g = parse_element(symbol, 2)
     columns = [AlgebraElement.from_word(k) for k in TruncatedSpace.build(2, DEGREE).basis]
     best = float("inf")
     for _ in range(REPEAT):
@@ -123,9 +126,10 @@ def main():
         t, nonzeros = bench_matrix(symbol, degree)
         print("matrix  %8.2f ms/call    (%s, n=2 L=%d mu=2,3, %d nonzeros)"
               % (1e3 * t, symbol, degree, nonzeros))
-    t, cols = bench_columns()
-    print("apply   %8.2f us/column  (%s, n=2 L=%d mu=2,3, %d columns)"
-          % (1e6 * t / cols, SYMBOL, DEGREE, cols))
+    for symbol in APPLIES:
+        t, cols = bench_columns(symbol)
+        print("apply   %8.2f us/column  (%s, n=2 L=%d mu=2,3, %d columns)"
+              % (1e6 * t / cols, symbol, DEGREE, cols))
     for n, max_len, mu in COMPAT:
         t, count = bench_compat(n, max_len, mu)
         print("compat  %8.2f ms/call    (n=%d L=%d mu=%s, %d violations)"

@@ -105,13 +105,13 @@ def _build_parser():
 
 def _weights(args):
     n = args.n
-    if args.weights:
+    if args.weights is not None:
         with open(args.weights) as fh:
             mu = parse_weight_config(fh.read())
         if len(mu) != n:
             raise ValueError("weight file has %d parameters, need %d" % (len(mu), n))
         return WeightSystem(n, mu=mu)
-    if args.mu:
+    if args.mu is not None:
         mu = [parse_rational(p) for p in args.mu.split(",")]
         if len(mu) != n:
             raise ValueError("--mu has %d parameters, need %d" % (len(mu), n))

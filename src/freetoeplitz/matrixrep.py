@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import format_element, format_word
-from .freealg import AlgebraElement, Scalar
-from .projection import partner_families
+from .freealg import AlgebraElement
 from .toeplitz import ToeplitzOperator
 
 
@@ -102,6 +101,9 @@ class _Index:
         if (k := self.get(word)) is None:
             raise KeyError(word)
         return k
+
+    def __contains__(self, word):
+        return self.get(word) is not None
 
 
 @dataclass(frozen=True)
@@ -195,46 +197,12 @@ def _complex(c):
         return complex(math.inf, math.inf)
 
 
-def _family_terms(op):
-    """Shift family (s1, s2) -> the indices of the symbol terms in it, in term order."""
-    families = {}
-    for j, (_, _, t, r, _) in enumerate(op.terms):
-        for key in partner_families(t, r)[1]:
-            families.setdefault(key, []).append(j)
-    return families
-
-
-def _family_coefficients(op, family, js, us, index, errors):
-    """The exact coefficient of a family at column u + s2 for each u of us.
-
-    Sums the coefficients of the family's terms js, and returns the sums
-    with the first term whose coefficient is nonzero, the entries'
-    position within a column.  A coefficient that raises is put on
-    errors with its column and term, and ends the family there.
-    """
-    s1, s2 = family
-    exact, rank = [], None
-    for u in us:
-        total = Scalar(0)
-        for j in js:
-            try:
-                c = op.coefficient(j, u + s2 + op.terms[j][2], u + s1)
-            except ValueError as e:
-                errors.append(((index[u + s2], 0, j), e))
-                return exact, rank
-            if c:
-                total += c
-                rank = j if rank is None else rank
-        exact.append(total)
-    return exact, rank
-
-
 def _first_error(space, rows, cols, ranks, ratios, values, errors):
     """The error the column loop would raise first, or None.
 
     It checks the columns in basis order and, within a column, each
-    entry's weight ratio and then its value in the order of their first
-    terms; a coefficient that raises does so before its column's checks.
+    entry's weight ratio and then its value in the order of their
+    families; a coefficient that raises does so before its column's checks.
     """
     bad_ratio = ~((ratios > 0) & (ratios < math.inf))
     bad = np.flatnonzero(bad_ratio | ~np.isfinite(values))
@@ -250,11 +218,11 @@ def _first_error(space, rows, cols, ranks, ratios, values, errors):
 def matrix_of(ws, g, space):
     """Matrix of T_g on the truncation, in the orthonormal basis.
 
-    Built from g's shift families (``projection.partner_families``): a
-    family (s1, s2) maps column u + s2 to row u + s1 for every holomorphic
-    word u, with one exact coefficient (``ToeplitzOperator.coefficient``)
-    under product weights and one per entry under a custom table.  A
-    family's terms are summed exactly before any float.  Only the empty
+    Built from the shift families of ``ToeplitzOperator`` (``families``):
+    a family (s1, s2) maps column u + s2 to row u + s1 for every
+    holomorphic word u, with the exact coefficient
+    ``ToeplitzOperator.coefficient``, one per family under product
+    weights and one per entry under a custom table.  Only the empty
     column goes through ``ToeplitzOperator.apply``, so the families start
     at u nonempty when s2 is empty.  Each entry is complex(c) *
     sqrt(w(row) / w(col)); entries above the truncation are dropped.
@@ -272,17 +240,23 @@ def matrix_of(ws, g, space):
     cols = [np.zeros(len(hits), dtype=np.intp)]
     ranks = [np.arange(len(hits))]
     coeffs = [_complex(c) for _, c in hits]
-    top, errors = space.max_length, []  # errors: ((column, 0, term), error) per raise
-    for (s1, s2), js in _family_terms(op).items():
+    top, errors = space.max_length, []  # errors: ((column, 0, family), error) per raise
+    for rank, family in enumerate(op.families):
+        s1, s2 = family
         first = 0 if s2 else 1  # len(u) in the family's first column
         if first + len(s2) > top or not space.spells(s2):
             continue
         us = space.words(range(first, top - len(s2) + 1))
         if ws.mu is not None:
             us = itertools.islice(us, 1)  # one coefficient for the whole family
-        exact, rank = _family_coefficients(op, (s1, s2), js, us, space.index, errors)
-        if rank is None:
-            continue  # every coefficient is zero, or the first one raised
+        exact = []
+        try:
+            for u in us:
+                exact.append(op.coefficient(family, u))
+        except ValueError as e:  # the column loop stops there
+            errors.append(((space.index[u + s2], 0, rank), e))
+        if not any(exact):
+            continue
         # the entries whose row is in the truncation as well
         lengths = range(first, top - max(len(s1), len(s2)) + 1) if space.spells(s1) else ()
         fr, fc = space.shifted(s1, lengths), space.shifted(s2, lengths)
@@ -290,10 +264,8 @@ def matrix_of(ws, g, space):
             keep = [p for p, c in enumerate(exact[: len(fr)]) if c]
             fr, fc = fr[keep], fc[keep]
             coeffs += [_complex(exact[p]) for p in keep]
-        elif exact and exact[0]:
-            coeffs += [_complex(exact[0])] * len(fr)
         else:
-            continue
+            coeffs += [_complex(exact[0])] * len(fr)
         rows.append(fr)
         cols.append(fc)
         ranks.append(np.full(len(fr), rank))

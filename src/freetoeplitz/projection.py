@@ -8,14 +8,13 @@ left over after r is peeled off its end; the kernel's first glue step
 exhausts it, so the value is w(k) <rest, 1> / w(i) from one split.
 ``project(ws, a, b)`` sums the images of the pairs of terms of a and b
 and never builds the product a * b.  It takes b as a
-``ToeplitzOperator``, which splits each term of its symbol once: for a
-nonempty holomorphic word wa the first block of wa + wb is (wa + t, r),
-with t, r and the rest fixed by wb alone (``_head``), so each pair costs
-the partner test and, on a hit, one ``Scalar`` product: under product
-weights w(wa + t) / w(i) = w(r), so the term's coefficient
-cb w(r) <rest, 1> is one constant, computed at its first hit and kept.
-A custom table takes its two weights on each hit.  An operator is built
-once for all its applications.
+``ToeplitzOperator``, which splits each term of its symbol once and
+partitions the terms into shift families: a family (s1, s2) maps every
+nonempty holomorphic word u + s2 to a multiple of u + s1
+(``partner_families``).  Under product weights that multiple is one
+exact constant per family, computed at its first use and kept; a custom
+table takes its weights on each use.  An operator is built once for all
+its applications.
 ``project_oracle`` evaluates the defining basis sum by brute force and
 exists purely as an independent cross-check.  ``pairing_candidates``
 lists the pairs of terms of two elements that can pair nonzero, by
@@ -38,18 +37,13 @@ from .freealg import (
 )
 
 
-def _cut(k, r):
-    """The prefix of k left when r is cut off its end; None unless k ends with r."""
-    i = len(k) - len(r)
-    return k[:i] if i >= 0 and k[i:] == r else None
-
-
 def _first_block(h):
     """partner(h), plus k and rest of h's first block (k is None unless theta-initial)."""
     if not h or h[0] < 0:
         return (), None, h
     k, r, rest = split_block(h)
-    return _cut(k, r), k, rest
+    i = len(k) - len(r)
+    return (k[:i] if i >= 0 and k[i:] == r else None), k, rest
 
 
 def partner(h):
@@ -128,61 +122,72 @@ class ToeplitzOperator:
     """Right-symbol Toeplitz operator phi -> P(phi * symbol) for the weights.
 
     Each term wb of the symbol is split once, by ``_head``, and kept as
-    (wb, cb, t, r, rest).  For a nonempty holomorphic word wa the first
-    block of wa + wb is then (wa + t, r), followed by rest, so a partner
-    hit i has the coefficient cb w(wa + t) <rest, 1> / w(i).  Under
-    product weights that ratio is w(r), so the coefficient is one
-    constant per term, computed at the term's first hit and kept; a
-    custom table takes its two weights on each hit, and the term's tail.
+    (wb, cb, t, r, rest).  ``families`` maps each shift family (s1, s2)
+    of ``partner_families(t, r)`` to the indices of its terms, in term
+    order: for every nonempty holomorphic word u + s2 the first block of
+    u + s2 + wb is (u + s2 + t, r), with partner u + s1, followed by rest.
     """
 
     def __init__(self, symbol, weights):
         self.symbol = symbol
         self.weights = weights
         self.terms = [(wb, cb) + _head(wb) for wb, cb in symbol.items()]
+        self.families = {}
+        for j, (_, _, t, r, _) in enumerate(self.terms):
+            for family in partner_families(t, r)[1]:
+                self.families.setdefault(family, []).append(j)
         self._tails = {}
-        self._coeffs = [None] * len(self.terms)
+        self._coeffs = {}
 
-    def coefficient(self, j, k, i):
-        """Term j's coefficient cb w(k) <rest, 1> / w(i) at a partner hit i of k = wa + t.
+    def coefficient(self, family, u):
+        """The coefficient of u + s1 in the family (s1, s2)'s part of T_g(u + s2).
 
-        Under product weights it is cb w(r) <rest, 1> at every hit, so it
-        is kept from the first call on.
+        The exact sum over the family's terms of
+        cb w(u + s2 + t) <rest, 1> / w(u + s1).  Under product weights
+        each ratio is w(r), so the sum is kept from the first call on; a
+        u with an entry above n takes its weights again, so that it raises
+        where a term's own projection does.  A custom table takes its
+        weights on every call.
         """
-        c = self._coeffs[j]
-        if c is None:
-            ws, tails = self.weights, self._tails
-            _, cb, _, _, rest = self.terms[j]
-            tail = tails.get(rest)
-            if tail is None:
-                tail = tails[rest] = ws.form_words(rest, ())
-            c = cb * Scalar(ws.weight(k) * tail / ws.weight(i)) if tail else 0
+        ws = self.weights
+        c = self._coeffs.get(family)
+        if c is None or u and max(u) > ws.n:
+            s1, s2 = family
+            c, tails = 0, self._tails
+            for j in self.families[family]:
+                _, cb, t, _, rest = self.terms[j]
+                tail = tails.get(rest)
+                if tail is None:
+                    tail = tails[rest] = ws.form_words(rest, ())
+                if tail:
+                    c = c + cb * Scalar(ws.weight(u + s2 + t) * tail / ws.weight(u + s1))
             if ws.mu is not None:
-                self._coeffs[j] = c
+                self._coeffs[family] = c
         return c
 
     def images(self, wa):
-        """(i, c) for each term cb * wb with P(wa + wb) = c theta_i nonzero."""
+        """(i, c) for each nonzero c theta_i that wa goes to, by family or term.
+
+        A nonempty holomorphic wa goes by the shift families, any other
+        word term by term through ``project_word``.
+        """
         ws = self.weights
         if not wa or not is_holomorphic_word(wa):
             for wb, cb, _, _, _ in self.terms:
                 for i, v in project_word(ws, wa + wb).items():
                     yield i, cb * v
             return
-        coeffs = self._coeffs
-        for j, (_, _, t, r, _) in enumerate(self.terms):
-            k = wa + t
-            i = _cut(k, r)
-            if i is None:
+        coeffs, bad = self._coeffs, max(wa) > ws.n
+        for family in self.families:
+            s1, s2 = family
+            m = len(wa) - len(s2)
+            if m < 0 or wa[m:] != s2:
                 continue
-            c = coeffs[j]
-            if c is None:
-                c = self.coefficient(j, k, i)
-            elif c and i and max(i) > ws.n:
-                # the first hit checked t and r, so a bad entry of k is in i
-                ws.weight(i)
+            c = coeffs.get(family)
+            if c is None or bad:  # a kept sum would skip the weights that raise
+                c = self.coefficient(family, wa[:m])
             if c:
-                yield i, c
+                yield wa[:m] + s1, c
 
     def apply(self, phi):
         if not phi.is_holomorphic():

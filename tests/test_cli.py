@@ -199,6 +199,17 @@ def test_domain_error_exits_1():
 
 
 @pytest.mark.parametrize(
+    "flag,message",
+    [("--mu", "error: malformed rational: ''\n"), ("--weights", "error: [Errno 2] ")],
+)
+def test_empty_weight_flag_is_an_error(capsys, flag, message):
+    # an empty value is not the absent flag: it does not mean unit weights
+    assert main(["form", "t1", "t1", flag, ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(message)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         # w(t1) overflows a float; then w(t1*t1) alone does
@@ -353,8 +364,8 @@ def _flag(name, *values):
 
 _COMMON = st.one_of(
     st.tuples(st.just("--n"), _SMALL),
-    _flag("--mu", "1", "2,3", "1/2,5/3,2", "0,1", "x", "-1,2"),
-    _flag("--weights", "."),
+    _flag("--mu", "1", "2,3", "1/2,5/3,2", "0,1", "x", "-1,2", ""),
+    _flag("--weights", ".", ""),
     st.just(("--help",)),
 )
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import custom_weights, matrix_by_columns
+from conftest import custom_weights, matrix_by_columns, project_pairwise
 from freetoeplitz import form, matrixrep, projection
 from freetoeplitz.expr import parse_element
 from freetoeplitz.freealg import AlgebraElement, Scalar
@@ -54,6 +54,7 @@ def test_space_arithmetic_matches_enumeration(n, top):
         index = space.index
         for k, u in enumerate(words):
             assert index[u] == index.get(u) == k
+            assert u in index
             assert space.word(k) == u
         want = {u: k for k, u in enumerate(words)}
         for s in words:
@@ -63,6 +64,7 @@ def test_space_arithmetic_matches_enumeration(n, top):
                 assert got == [want[u + s] for u in words if len(u) in lengths]
         for word in ((1,) * (max_length + 1), (n + 1,), (1, -1), (-1,)):
             assert index.get(word) is None
+            assert word not in index
             with pytest.raises(KeyError):
                 index[word]
         for k in (-1, space.dim):
@@ -387,6 +389,47 @@ def test_matrix_of_matches_column_loop(n, top, weights):
             assert outcome(matrix_of, ws, g, space) == want
 
 
+# (symbol, its families and their terms): four terms in two families, and
+# one family whose sum cancels under mu=2,3, where w(t2) <1, 1> = 3
+FAMILY_SYMBOLS = (
+    ("t1*t2*b2 + t1 + t1*b1 + 1", {((1,), ()): [0, 1], ((), ()): [2, 3]}),
+    ("t1*t2*b2 - 3*t1", {((1,), ()): [0, 1]}),
+)
+
+
+def raised(f, *args):
+    try:
+        f(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("weights", ["mu23", "custom"])
+@pytest.mark.parametrize("text,families", FAMILY_SYMBOLS)
+def test_apply_and_matrix_read_the_families(text, families, weights):
+    if weights == "mu23":
+        ws = WeightSystem(2, mu=(2, 3))
+    else:
+        ws = custom_weights(random.Random(22), 2, 7)
+    g = parse_element(text, 2)
+    op = ToeplitzOperator(g, ws)
+    assert op.families == families
+    images = []
+    for u in (u for m in range(5) for u in itertools.product((1, 2), repeat=m)):
+        want = AlgebraElement.zero()
+        for word, c in (w(u) * g).items():
+            want = want + c * projection.project_oracle(ws, word)
+        assert op.apply(w(u)) == want
+        images.append(want)
+    m = matrix_of(ws, g, TruncatedSpace.build(2, 4))
+    cancels = (text, weights) == ("t1*t2*b2 - 3*t1", "mu23")
+    assert any(images) == (len(m.values) > 0) == (not cancels)
+    # an entry above n raises as the termwise projection does, even
+    # where the family's kept sum is zero
+    message = raised(project_pairwise, ws, w((1, 3)), g)
+    assert message is not None and raised(op.apply, w((1, 3))) == message
+
+
 def test_custom_family_ratio_varies():
     # t1 and t1*t1*b1 share the family (t1, ()): column u goes to row u + t1.
     # Under a custom table the exact coefficient 1 + w(u t1 t1) / w(u t1)
@@ -405,6 +448,9 @@ HUGE = Scalar(10**308)
 RATIO_TABLE = {(1,): 10**200, (1, 1): Fraction(1, 10**200), (1, 1, 1): 1}
 
 
+WORDS_2_3 = [i for m in range(1, 4) for i in itertools.product((1, 2), repeat=m)]
+
+
 def scaled(c, text, n=1):
     return c * parse_element(text, n)
 
@@ -419,16 +465,16 @@ ERROR_CASES = [
     # a finite coefficient whose entry overflows, in a family
     (1, 2, {(1,): 1, (1, 1): 100, (1, 1, 1): 1}, scaled(HUGE, "t1"),
      "matrix entry (t1*t1, t1) "),
-    # two failing entries in column t1: the first term's is named
+    # two failing entries in column t1: the first family's is named
     (1, 2, {(1,): 1, (1, 1): 10**100, (1, 1, 1): 1},
      scaled(Scalar(10**300), "t1") + scaled(BIG, "b1"), "matrix entry (t1*t1, t1) "),
     (1, 2, {(1,): 1, (1, 1): 10**100, (1, 1, 1): 1},
      scaled(BIG, "b1") + scaled(Scalar(10**300), "t1"), "matrix entry (1, t1) "),
-    # t1 and t1*t1*b1 share a family, whose entries come by its first term
+    # t1 and t1*t1*b1 share the first family, listed ahead of b1's
     (1, 2, {(1,): 1, (1, 1): 10**100, (1, 1, 1): 1, (1, 1, 1, 1): 1},
      scaled(Scalar(10**300), "t1") + scaled(BIG, "b1") + parse_element("t1*t1*b1", 1),
      "matrix entry (t1*t1, t1) "),
-    # a ratio and an entry in column t1*t1, in the order of their terms
+    # a ratio and an entry in column t1*t1, in the order of their families
     (1, 3, RATIO_TABLE, parse_element("b1", 1) + scaled(BIG * BIG, "b1*b1"),
      "weight ratio w(t1)/w(t1*t1) is outside float range"),
     (1, 3, RATIO_TABLE, scaled(BIG * BIG, "b1*b1") + parse_element("b1", 1),
@@ -441,6 +487,12 @@ ERROR_CASES = [
      "multi-index entry out of range: 2"),
     (1, 2, (1,), scaled(BIG, "b1") + parse_element("t2*b2*b1", 2),
      "multi-index entry out of range: 2"),
+    # two families' coefficients raise in column t2: the family of the
+    # first term, which has the zero tail <t1, 1>, is taken first, so its
+    # second term's missing w(t2*t1*t2) is named, not t2*b2's w(t2*t2)
+    (2, 1, {i: 1 for i in WORDS_2_3 if i not in ((2, 1, 2), (2, 2))},
+     parse_element("t1*t2*b2*t1 + t2*b2 + t1*t2*b2", 2),
+     "weight undefined for multi-index (2, 1, 2)"),
 ]
 
 
