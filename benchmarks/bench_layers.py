@@ -1,9 +1,11 @@
-"""Time six layers: spaces, matrices, Toeplitz columns, compat, the form and exact scalars.
+"""Time seven layers: spaces, matrices, exports, Toeplitz columns, compat, the form, scalars.
 
 Prints microseconds per ``TruncatedSpace.build`` call at n=2 and the
 degrees in SPACES, milliseconds per ``matrix_of`` call on fixed symbols and
-truncations, microseconds per ``ToeplitzOperator.apply`` column on the
-symbols in APPLIES, over every basis word of the truncation, milliseconds per
+truncations, milliseconds per ``to_csv`` and per ``to_json`` call on the
+matrix of SYMBOL at the degrees in EXPORTS, microseconds per
+``ToeplitzOperator.apply`` column on the symbols in APPLIES, over every
+basis word of the truncation, milliseconds per
 ``check_compatibility`` call at the three sizes of perfbench's compat
 workload, microseconds per ``WeightSystem.form`` call on seeded pairs of
 elements, and per ``Scalar`` product and sum on fixed Gaussian
@@ -23,7 +25,7 @@ from fractions import Fraction
 from freetoeplitz.expr import parse_element
 from freetoeplitz.form import WeightSystem
 from freetoeplitz.freealg import AlgebraElement, Scalar
-from freetoeplitz.matrixrep import TruncatedSpace, matrix_of
+from freetoeplitz.matrixrep import TruncatedSpace, matrix_of, to_csv, to_json
 from freetoeplitz.toeplitz import (
     ToeplitzOperator,
     check_compatibility,
@@ -38,6 +40,8 @@ DEGREE = 10
 SPACES = (10, 14)
 # (symbol, degree) for each matrix_of line, at n=2 mu=2,3
 MATRICES = ((SYMBOL, DEGREE), ("t1", 14))
+# the degree of each pair of export lines, on SYMBOL at n=2 mu=2,3
+EXPORTS = (DEGREE, 14)
 # the symbol of each apply line, at n=2 L=DEGREE mu=2,3; the second one's
 # four terms fall in two shift families
 APPLIES = (SYMBOL, "t1*t2*b2 + t1 + t1*b1 + 1")
@@ -72,6 +76,13 @@ def bench_matrix(symbol, degree):
         t0 = time.perf_counter()
         m = matrix_of(ws, g, space)
         best = min(best, time.perf_counter() - t0)
+    return best, len(m.values)
+
+
+def bench_exports(degree):
+    """Best seconds for one to_csv and one to_json call, and the matrix's nonzero count."""
+    m = matrix_of(WeightSystem(2, mu=MU), parse_element(SYMBOL, 2), TruncatedSpace.build(2, degree))
+    best = [min(timeit.repeat(lambda: f(m), number=1, repeat=REPEAT)) for f in (to_csv, to_json)]
     return best, len(m.values)
 
 
@@ -126,6 +137,11 @@ def main():
         t, nonzeros = bench_matrix(symbol, degree)
         print("matrix  %8.2f ms/call    (%s, n=2 L=%d mu=2,3, %d nonzeros)"
               % (1e3 * t, symbol, degree, nonzeros))
+    for degree in EXPORTS:
+        best, nonzeros = bench_exports(degree)
+        for name, t in zip(("to_csv", "to_json"), best):
+            print("export  %8.2f ms/call    (%s, %s, n=2 L=%d mu=2,3, %d nonzeros)"
+                  % (1e3 * t, name, SYMBOL, degree, nonzeros))
     for symbol in APPLIES:
         t, cols = bench_columns(symbol)
         print("apply   %8.2f us/column  (%s, n=2 L=%d mu=2,3, %d columns)"

@@ -157,6 +157,10 @@ def _cmd_matrix(args, out):
     return 0
 
 
+def _violations(count):
+    return "%d violation%s" % (count, "" if count == 1 else "s")
+
+
 def _cmd_check(args, out):
     ws = _weights(args)
     if args.suite == "counterexamples":
@@ -166,18 +170,18 @@ def _cmd_check(args, out):
         return 0 if vals.reproduced else 1
     if args.suite == "symmetry":
         bad = toeplitz.symmetry_suite(ws, args.trials, args.max_len, args.seed)
-        text = "symmetry: %d violations in %d trials (seed %d)"
-        print(text % (bad, args.trials, args.seed), file=out)
+        text = "symmetry: %s in %d trials (seed %d)"
+        print(text % (_violations(bad), args.trials, args.seed), file=out)
         return 0 if bad == 0 else 1
     if args.suite == "adjoint":
         violations = toeplitz.adjoint_suite(ws, args.trials, args.max_len, args.seed)
         if violations:
             print(toeplitz.format_adjoint_violations(violations), file=out)
-        print("adjoint: %d violations (seed %d)" % (len(violations), args.seed), file=out)
+        print("adjoint: %s (seed %d)" % (_violations(len(violations)), args.seed), file=out)
         return 0 if not violations else 1
     violations, passed, partial = toeplitz.compat_suite(ws, args.max_len)
-    text = "compat: %d violations (n=%d, max_len=%d)"
-    print(text % (len(violations), args.n, args.max_len), file=out)
+    text = "compat: %s (n=%d, max_len=%d)"
+    print(text % (_violations(len(violations)), args.n, args.max_len), file=out)
     if partial:
         print("compat: " + partial, file=out)
     return 0 if passed else 1

@@ -239,7 +239,7 @@ def matrix_of(ws, g, space):
     rows = [np.array([r for r, _ in hits], dtype=np.intp)]
     cols = [np.zeros(len(hits), dtype=np.intp)]
     ranks = [np.arange(len(hits))]
-    coeffs = [_complex(c) for _, c in hits]
+    coeffs = [np.array([_complex(c) for _, c in hits], dtype=complex)]
     top, errors = space.max_length, []  # errors: ((column, 0, family), error) per raise
     for rank, family in enumerate(op.families):
         s1, s2 = family
@@ -263,17 +263,18 @@ def matrix_of(ws, g, space):
         if ws.mu is None:
             keep = [p for p, c in enumerate(exact[: len(fr)]) if c]
             fr, fc = fr[keep], fc[keep]
-            coeffs += [_complex(exact[p]) for p in keep]
+            coeffs.append(np.array([_complex(exact[p]) for p in keep], dtype=complex))
         else:
-            coeffs += [_complex(exact[0])] * len(fr)
+            coeffs.append(np.full(len(fr), _complex(exact[0])))
         rows.append(fr)
         cols.append(fc)
         ranks.append(np.full(len(fr), rank))
-    rows, cols, ranks = (np.concatenate(a) for a in (rows, cols, ranks))
-    with np.errstate(over="ignore", under="ignore"):
+    rows, cols, ranks, coeffs = (np.concatenate(a) for a in (rows, cols, ranks, coeffs))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         ratios = weights[rows] / weights[cols]
-    # the column loop's float steps, complex(c) * math.sqrt(ratio), entry by entry
-    values = np.array(list(map(operator.mul, coeffs, np.sqrt(ratios).tolist())), dtype=complex)
+        # the column loop's float steps: numpy takes the sqrt as x + 0j and
+        # multiplies by CPython's complex formula, as complex(c) * math.sqrt(ratio)
+        values = coeffs * np.sqrt(ratios)
     error = _first_error(space, rows, cols, ranks, ratios, values, errors)
     if error is not None:
         raise error
@@ -316,23 +317,31 @@ def commutator_matrix(m1, m2):
     return _sparse(m1.space, text, keys, values)
 
 
-def _nonzero_entries(m):
-    v = m.values
-    return zip(m.rows.tolist(), m.cols.tolist(), v.real.tolist(), v.imag.tolist())
+def _texts(x, fmt):
+    """fmt(v) for each float v of x, each distinct 64-bit pattern formatted once.
+
+    Keying on the bits keeps -0.0 apart from 0.0 and each NaN apart.
+    """
+    keys, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    return np.array([fmt(v) for v in keys.view(np.float64).tolist()], dtype=object)[inverse]
+
+
+def _fields(m, fmt):
+    """(row, col, re text, im text) of each nonzero entry, flattened into one tuple."""
+    out = np.empty((len(m.values), 4), dtype=object)
+    out[:, 0], out[:, 1] = m.rows, m.cols
+    out[:, 2], out[:, 3] = _texts(m.values.real, fmt), _texts(m.values.imag, fmt)
+    return tuple(out.ravel().tolist())
 
 
 def to_csv(m):
-    """CSV export: header plus one line per nonzero entry."""
-    lines = ["%d,%d,%.17g,%.17g" % e for e in _nonzero_entries(m)]
-    return "\n".join(["row,col,re,im"] + lines) + "\n"
+    """CSV export: header plus one line per nonzero entry, each float as "%.17g"."""
+    return "row,col,re,im\n" + "%d,%d,%s,%s\n" * len(m.values) % _fields(m, "%.17g".__mod__)
 
 
 def to_json(m):
-    obj = {
-        "n": m.space.n,
-        "L": m.space.max_length,
-        "order": "graded-lex",
-        "symbol": m.symbol_text,
-        "entries": [[r, c, re, im] for r, c, re, im in _nonzero_entries(m)],
-    }
-    return json.dumps(obj)
+    """JSON export, the text json.dumps writes for the entries [[row, col, re, im], ...]."""
+    head = json.dumps({"n": m.space.n, "L": m.space.max_length, "order": "graded-lex",
+                       "symbol": m.symbol_text, "entries": []})
+    entries = ", ".join(["[%d, %d, %s, %s]"] * len(m.values)) % _fields(m, json.dumps)
+    return head[:-2] + entries + head[-2:]  # head ends with the empty list's "]}"

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -297,3 +298,34 @@ def matrix_by_columns(ws, g, space):
     cols = np.array([c for _, c in keys], dtype=np.intp)
     values = np.array([entries[k] for k in keys], dtype=complex)
     return OperatorMatrix(space, format_element(g), rows, cols, values)
+
+
+def _entry_tuples(m):
+    """(row, col, re, im) of each stored entry, as Python ints and floats."""
+    v = m.values
+    return zip(m.rows.tolist(), m.cols.tolist(), v.real.tolist(), v.imag.tolist())
+
+
+def csv_by_entries(m):
+    """The CSV export of m, formatted entry by entry as "%d,%d,%.17g,%.17g".
+
+    The oracle for ``matrixrep.to_csv``, which formats each distinct float
+    once and the whole text with one ``%``.
+    """
+    lines = ["%d,%d,%.17g,%.17g" % e for e in _entry_tuples(m)]
+    return "\n".join(["row,col,re,im"] + lines) + "\n"
+
+
+def json_by_entries(m):
+    """The JSON export of m, ``json.dumps`` of the whole object with its entry list.
+
+    The oracle for ``matrixrep.to_json``, which formats each distinct float
+    once and splices the entries into the dumped header.
+    """
+    return json.dumps({
+        "n": m.space.n,
+        "L": m.space.max_length,
+        "order": "graded-lex",
+        "symbol": m.symbol_text,
+        "entries": [list(e) for e in _entry_tuples(m)],
+    })

@@ -328,7 +328,7 @@ def test_check_compat_n1_names_the_witnesses_out_of_reach(capsys):
     code, out = run(capsys, *argv, "2")
     assert code == 1
     assert out.splitlines() == [
-        "compat: 1 violations (n=1, max_len=2)",
+        "compat: 1 violation (n=1, max_len=2)",
         "compat: partial check: max_len=2 cannot reach the " + witness1,
     ]
     code, out = run(capsys, *argv, "3")

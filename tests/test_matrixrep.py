@@ -9,8 +9,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import custom_weights, matrix_by_columns, project_pairwise
+from conftest import (
+    csv_by_entries,
+    custom_weights,
+    json_by_entries,
+    matrix_by_columns,
+    project_pairwise,
+)
 from freetoeplitz import form, matrixrep, projection
 from freetoeplitz.expr import parse_element
 from freetoeplitz.freealg import AlgebraElement, Scalar
@@ -328,13 +335,18 @@ def test_projection_work_pinned(monkeypatch):
     assert (len(splits), len(pairings)) == (4, 5)
 
 
-def perfbench_symbol_pool():
-    """The matrix workload's symbols, read from perfbench's workloads module."""
+def perfbench_workloads():
+    """perfbench's workloads module, loaded from its file."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.symbol_pool()
+    return module
+
+
+def perfbench_symbol_pool():
+    """The matrix workload's symbols, read from perfbench's workloads module."""
+    return perfbench_workloads().symbol_pool()
 
 
 def outcome(build, ws, g, space):
@@ -387,6 +399,85 @@ def test_matrix_of_matches_column_loop(n, top, weights):
             want = outcome(matrix_by_columns, ws, g, space)
             assert want[0] != "error", want
             assert outcome(matrix_of, ws, g, space) == want
+
+
+def perfbench_pair():
+    """The matrix workload's two matrices at its default seed, n=2 L=10 mu=2,3."""
+    space, ws = TruncatedSpace.build(2, 10), WeightSystem(2, mu=(2, 3))
+    s1, s2 = perfbench_workloads().Matrix(0).symbols
+    return matrix_of(ws, parse_element(s1, 2), space), matrix_of(ws, parse_element(s2, 2), space)
+
+
+def commutator_with_negative_zeros():
+    c = commutator_matrix(*perfbench_pair())
+    assert np.any((c.values.imag == 0) & np.signbit(c.values.imag))
+    return c
+
+
+# special floats as real and imaginary parts, some repeated
+SPECIAL_VALUES = [-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, complex(math.nan, -math.inf)]
+SPECIAL_VALUES += [complex(0.0, -0.0), complex(-0.0, -0.0), complex(1e308, 5e-324), -0.0]
+SPECIAL_VALUES += [complex(-math.inf, math.nan), complex(0.1, -0.1)]
+
+EXPORT_CASES = {
+    "perfbench symbol 1": lambda: perfbench_pair()[0],
+    "perfbench symbol 2": lambda: perfbench_pair()[1],
+    "perfbench commutator": commutator_with_negative_zeros,
+    "unit weights": lambda: matrix_of(
+        WeightSystem.unit(2), parse_element("t1*b2 - i*t2 + 1/3", 2), TruncatedSpace.build(2, 4)
+    ),
+    "custom weights": lambda: matrix_of(
+        custom_weights(random.Random(23), 2, 6),
+        parse_element("b1*t2 + t1 + 1/2*b2 + (2/3)i*t2*b2", 2),
+        TruncatedSpace.build(2, 4),
+    ),
+    "symbol 0": lambda: matrix_of(
+        WeightSystem.unit(2), AlgebraElement.zero(), TruncatedSpace.build(2, 3)
+    ),
+    "degree 0": lambda: matrix_of(WeightSystem.unit(2), w((1,)), TruncatedSpace.build(2, 0)),
+    "special floats": lambda: matrixrep.OperatorMatrix(
+        TruncatedSpace.build(2, 3),
+        'the "special" floats',
+        np.arange(len(SPECIAL_VALUES)),
+        np.arange(len(SPECIAL_VALUES))[::-1].copy(),
+        np.array(SPECIAL_VALUES, dtype=complex),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EXPORT_CASES)
+def test_exports_match_entry_by_entry_formatting(case):
+    m = EXPORT_CASES[case]()
+    if case in ("symbol 0", "degree 0"):
+        assert len(m.values) == 0
+    assert to_csv(m) == csv_by_entries(m)
+    assert to_json(m) == json_by_entries(m)
+
+
+# any float, with the repeats an export keys on: a few distinct parts per
+# array, often both zeros or a zero and the smallest subnormal
+_edges = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan])
+_parts = st.lists(st.one_of(_edges, st.floats()), min_size=1, max_size=6)
+
+
+@st.composite
+def _drawn_matrices(draw):
+    re_pool, im_pool = draw(_parts), draw(_parts)
+    size = draw(st.integers(0, 40))
+    values = np.empty(size, dtype=complex)
+    values.real = draw(st.lists(st.sampled_from(re_pool), min_size=size, max_size=size))
+    values.imag = draw(st.lists(st.sampled_from(im_pool), min_size=size, max_size=size))
+    index = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=size, max_size=size)
+    rows, cols = (np.array(draw(index), dtype=np.int64) for _ in range(2))
+    space = TruncatedSpace.build(draw(st.integers(1, 3)), draw(st.integers(0, 4)))
+    return matrixrep.OperatorMatrix(space, draw(st.text(max_size=8)), rows, cols, values)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_drawn_matrices())
+def test_exports_match_entry_by_entry_formatting_on_any_floats(m):
+    assert to_csv(m) == csv_by_entries(m)
+    assert to_json(m) == json_by_entries(m)
 
 
 # (symbol, its families and their terms): four terms in two families, and
