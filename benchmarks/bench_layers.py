@@ -7,9 +7,9 @@ matrix of SYMBOL at the degrees in EXPORTS, microseconds per
 ``ToeplitzOperator.apply`` column on the symbols in APPLIES, over every
 basis word of the truncation, milliseconds per
 ``check_compatibility`` call at the three sizes of perfbench's compat
-workload, microseconds per ``WeightSystem.form`` call on seeded pairs of
-elements, and per ``Scalar`` product and sum on fixed Gaussian
-rationals; each figure is the best of REPEAT passes.  Every matrix,
+workload and at n=2 L=6, microseconds per ``WeightSystem.form`` call on
+seeded pairs of elements, and per ``Scalar`` product and sum on fixed
+Gaussian rationals; each figure is the best of REPEAT passes.  Every matrix,
 apply, compat and form pass builds a fresh weight system, and the apply
 pass a fresh operator, as one ``fta`` run does.
 
@@ -45,8 +45,9 @@ EXPORTS = (DEGREE, 14)
 # the symbol of each apply line, at n=2 L=DEGREE mu=2,3; the second one's
 # four terms fall in two shift families
 APPLIES = (SYMBOL, "t1*t2*b2 + t1 + t1*b1 + 1")
-# (n, max_len, mu) for each check_compatibility line, as in perfbench's compat
-COMPAT = ((2, 5, (1, 1)), (2, 4, (2, 3)), (1, 8, (1,)))
+# (n, max_len, mu) for each check_compatibility line: perfbench's compat
+# sizes, then n=2 L=6, where a larger share of the words and pairs is dead
+COMPAT = ((2, 5, (1, 1)), (2, 4, (2, 3)), (1, 8, (1,)), (2, 6, (1, 1)))
 PAIRS = 1000
 REPEAT = 5
 SEED = 0

@@ -157,8 +157,8 @@ def _cmd_matrix(args, out):
     return 0
 
 
-def _violations(count):
-    return "%d violation%s" % (count, "" if count == 1 else "s")
+def _counted(count, noun):
+    return "%d %s%s" % (count, noun, "" if count == 1 else "s")
 
 
 def _cmd_check(args, out):
@@ -170,18 +170,19 @@ def _cmd_check(args, out):
         return 0 if vals.reproduced else 1
     if args.suite == "symmetry":
         bad = toeplitz.symmetry_suite(ws, args.trials, args.max_len, args.seed)
-        text = "symmetry: %s in %d trials (seed %d)"
-        print(text % (_violations(bad), args.trials, args.seed), file=out)
+        counts = _counted(bad, "violation"), _counted(args.trials, "trial")
+        print("symmetry: %s in %s (seed %d)" % (*counts, args.seed), file=out)
         return 0 if bad == 0 else 1
     if args.suite == "adjoint":
         violations = toeplitz.adjoint_suite(ws, args.trials, args.max_len, args.seed)
         if violations:
             print(toeplitz.format_adjoint_violations(violations), file=out)
-        print("adjoint: %s (seed %d)" % (_violations(len(violations)), args.seed), file=out)
+        count = _counted(len(violations), "violation")
+        print("adjoint: %s (seed %d)" % (count, args.seed), file=out)
         return 0 if not violations else 1
     violations, passed, partial = toeplitz.compat_suite(ws, args.max_len)
     text = "compat: %s (n=%d, max_len=%d)"
-    print(text % (_violations(len(violations)), args.n, args.max_len), file=out)
+    print(text % (_counted(len(violations), "violation"), args.n, args.max_len), file=out)
     if partial:
         print("compat: " + partial, file=out)
     return 0 if passed else 1

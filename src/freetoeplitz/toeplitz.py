@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .expr import format_element, format_scalar, format_word
 from .freealg import AlgebraElement, Scalar, balance, swap_alphabet, word_star
-from .kernel import glue_step
+from .kernel import form_factors, glue_step
 # perfbench/test_tracer.py checks that its tracer wraps toeplitz.project
 from .projection import ToeplitzOperator, _head, partner, partner_families, project  # noqa: F401
 
@@ -187,8 +187,7 @@ def reproduce_counterexamples(ws):
     return CounterexampleValues(*values)
 
 
-@dataclass(frozen=True)
-class CompatibilityViolation:
+class CompatibilityViolation(NamedTuple):
     """Failure of one of the two star-compatibility identities.
 
     prop 1 is <f1, f2 g> = <f1 g*, f2>; prop 2 is
@@ -204,13 +203,30 @@ class CompatibilityViolation:
     rhs: Fraction
 
 
-def _glued(block, word):
-    """(factor, suffix) of the glue step that exhausts block, or (None, None) if it fails."""
+def _live(suffix, live):
+    """Whether <suffix, 1> is nonzero, from the kernel, memoised in the dict live.
+
+    It is exactly when suffix is a live tail (``compat_words``); the
+    test reads no weight.
+    """
+    out = live.get(suffix)
+    if out is None:
+        out = live[suffix] = form_factors(suffix, ()) is not None
+    return out
+
+
+def _glued(block, word, live):
+    """(factor, suffix) of the glue step that exhausts block, or None where the side is zero.
+
+    The side is zero where that step fails or its suffix is not live.
+    """
     step = glue_step(block, word)
-    return (None, None) if step is None else (step[0], step[2])
+    if step is None or not _live(step[2], live):
+        return None
+    return step[0], step[2]
 
 
-def compat_families(g):
+def compat_families(g, live):
     """The candidate pairs of ``compat_pairs`` for the word g, unexpanded.
 
     Each side of the identities pairs a one-block word with another
@@ -224,13 +240,18 @@ def compat_families(g):
     one split of each head gives every member's (factor, suffix); only
     the few single pairs take a ``glue_step``.
 
-    Only pairs with len(f1) = len(f2) + balance(g) are listed, outside
-    which every side is zero.  Returns (singles, families), with sides
-    numbered 0, 1, 2 for sides 1, 2 and 4: (f1, f2, side, (factor,
-    suffix)) for each single pair, factor None where its glue step
-    fails, and (a, b, c, e, side, suffix) for each family, whose pair
-    (a + u + b, u + c) has the factor a + u + e for every holomorphic
-    word u.
+    Weights are positive, so a side is nonzero exactly when its glue
+    step holds and its suffix is a live tail (``compat_words``), which
+    ``form_factors(suffix, ())`` decides without a weight; the dict live
+    keeps each suffix's verdict, for all the words of one check.  Every
+    other side is dropped here: a single pair alone, a family whole, as
+    its members share one suffix.  Only pairs with
+    len(f1) = len(f2) + balance(g) are listed, outside which every side
+    is zero.  Returns (singles, families), with sides numbered 0, 1, 2
+    for sides 1, 2 and 4: (f1, f2, side, (factor, suffix)) for each
+    single pair, and (a, b, c, e, side, suffix) for each family, whose
+    pair (a + u + b, u + c) has the factor a + u + e for every
+    holomorphic word u.
     """
     bal = balance(g)
     gs = word_star(g)
@@ -238,11 +259,13 @@ def compat_families(g):
     ts, rs, rests = _head(gs)
     pairs1, fams1 = partner_families(t, r)
     pairs2, fams2 = partner_families(ts, rs)
+    live_rest = _live(rest, live)
     # singles as (f1, f2, side, block, word), glued below
     singles = [(f1, f2, 0, f1, f2 + g) for f1, f2 in pairs1]
     singles += [(f1, f2, 1, f2, f1 + gs) for f2, f1 in pairs2]
-    families = [((), s1, s2, s1 + r, 0, rest) for s1, s2 in fams1]
-    families += [((), s2, s1, s1 + rs, 1, rests) for s1, s2 in fams2]
+    families = [((), s1, s2, s1 + r, 0, rest) for s1, s2 in fams1 if live_rest]
+    if _live(rests, live):
+        families += [((), s2, s1, s1 + rs, 1, rests) for s1, s2 in fams2]
     # <f1 f2*, g>: for g bar-initial f1 is empty and rev(f2) is the
     # partner of g with its letter kinds swapped; otherwise f1 + r = t + f2,
     # so f1 is t + u, or a proper prefix of t that r completes, and empty
@@ -253,37 +276,41 @@ def compat_families(g):
             singles.append(((), f2[::-1], 2, swap_alphabet(f2), g))
     else:
         p = len(t)
-        families.append((t, (), r, r, 2, rest))
+        if live_rest:
+            families.append((t, (), r, r, 2, rest))
         singles += [
             (t[:j], r[p - j:], 2, t[:j] + word_star(r[p - j:]), g)
             for j in range(p) if r[:p - j] == t[j:] and (j or r == t)
         ]
     singles = [
-        (f1, f2, side, _glued(block, word))
-        for f1, f2, side, block, word in singles if len(f1) == len(f2) + bal
+        (f1, f2, side, closed)
+        for f1, f2, side, block, word in singles
+        if len(f1) == len(f2) + bal and (closed := _glued(block, word, live))
     ]
     families = [fam for fam in families if len(fam[0]) + len(fam[1]) == len(fam[2]) + bal]
     return singles, families
 
 
-def compat_pairs(g, holo):
+def compat_pairs(g, holo, live=None):
     """The pairs (f1, f2) that check_compatibility evaluates for the word g.
 
-    holo[r] lists the holomorphic words of length r, for r up to max_len.
+    holo[r] lists the holomorphic words of length r, for r up to max_len,
+    and live is the dict of ``compat_families``, a new one if None.
     Each side of the identities pairs nonzero for at most one pair per
     holomorphic word: side 1, <f1, f2 g>, fixes f1 = partner(f2 g);
     side 2, <f1 g*, f2>, fixes f2 = partner(f1 g*), as word pairings are
     real and symmetric; and side 4, <f1 f2*, g>, fixes f2 once f1 is
     glued to g's head run.  ``compat_families`` lists each side's pairs
     from g's head, in families (a + u + b, u + c) over holomorphic u,
-    and they are kept within max_len, outside which every side is zero.
-    Returns (f1, f2, sides) triples sorted by f2, then f1, where sides
-    holds, for sides 1, 2 and 4 in turn, None where that side did not
-    list the pair, which then pairs to zero, and else the side's
-    (factor, suffix) from ``compat_families``.
+    nonzero sides only, and they are kept within max_len, outside which
+    every side is zero.  Returns (f1, f2, sides) triples sorted by f2,
+    then f1, where sides holds, for sides 1, 2 and 4 in turn, None where
+    that side did not list the pair, which then pairs to zero, and else
+    the side's (factor, suffix) from ``compat_families``; a listed side
+    is never zero.
     """
     max_len = len(holo) - 1
-    singles, families = compat_families(g)
+    singles, families = compat_families(g, {} if live is None else live)
     sides = {}
     for f1, f2, i, closed in singles:
         if max(len(f1), len(f2)) <= max_len:
@@ -302,42 +329,94 @@ def compat_pairs(g, holo):
     )
 
 
+def compat_words(n, max_len):
+    """The words g of length at most max_len that can have a nonzero side, in order.
+
+    A side listed by ``compat_families`` is w(factor) <S, 1>, where S is
+    the rest of ``_head`` or of ``split_block`` of g or of g*, and it is
+    nonzero only where S is a live tail: S = () or
+    S = k + word_star(k) + S', with k a nonempty run of one letter kind
+    and S' a live tail that is empty or starts with k's kind.  That is
+    the kernel's ``glue_step(S, ())``, block by block, and it reads no
+    weight.  So g is P + S or word_star(P + S) for a live tail S and a
+    one-block prefix P that leaves S as such a rest: a run k followed by
+    a nonempty run of the other kind, with S empty or starting with k's
+    kind; a run alone, with S empty; or a bar run alone, with S empty or
+    theta-initial.  Every other word g has an empty ``compat_pairs``.
+    Returns the words ordered by length, then letter by letter with
+    t1 < b1 < t2 < b2 < ..., the order in which ``check_compatibility``
+    visits them.
+    """
+    theta = [list(itertools.product(range(1, n + 1), repeat=m)) for m in range(max_len + 1)]
+    runs = {1: theta, -1: [[swap_alphabet(k) for k in ks] for ks in theta]}
+    # two[s][m]: the prefixes of length m that are a run of kind s and
+    # a nonempty run of the other kind
+    two = {
+        s: [[k + r for a in range(1, m) for k in runs[s][a] for r in runs[-s][m - a]]
+            for m in range(max_len + 1)]
+        for s in (1, -1)
+    }
+    # live[m]: the live tails of length m
+    live = [[()]] + [[] for _ in range(max_len)]
+    for m in range(2, max_len + 1, 2):
+        for a in range(1, m // 2 + 1):
+            for s in (1, -1):
+                live[m] += [
+                    k + word_star(k) + tail
+                    for tail in live[m - 2 * a] if not tail or tail[0] * s > 0
+                    for k in runs[s][a]
+                ]
+    words = {()}
+    for tail in itertools.chain.from_iterable(live):
+        if not tail:
+            prefixes = (runs[1], runs[-1], two[1], two[-1])
+        elif tail[0] > 0:
+            prefixes = (runs[-1], two[1])
+        else:
+            prefixes = (two[-1],)
+        for by_length in prefixes:
+            for m in range(1, max_len - len(tail) + 1):
+                words.update([p + tail for p in by_length[m]])
+    words.update([word_star(w) for w in words])
+    # a walk over every word keeps the checker's order; at every size
+    # measured it costs less than sorting the candidates by that order
+    letters = [c for j in range(1, n + 1) for c in (j, -j)]
+    return [
+        w for m in range(max_len + 1) for w in itertools.product(letters, repeat=m) if w in words
+    ]
+
+
 def check_compatibility(n, max_len, ws):
     """Both identities on every triple within max_len, through candidates.
 
     f1 and f2 range over the holomorphic words and g over all words of
-    length at most max_len.  Only the pairs of ``compat_pairs`` are
-    evaluated, and of each pair only the sides it lists, each as
-    w(factor) <suffix, 1> from its (factor, suffix); every other side is
-    zero.  Each suffix is paired with the empty word once per call.
-    Weights are positive, so a listed side is zero only where its suffix
-    pairs to zero with 1 or its glue step fails, and two sides are
-    compared as ``Fraction``s only where both are nonzero.  Violations
-    come ordered by g, then f2, then f1.
+    length at most max_len.  Only the words of ``compat_words`` are
+    visited, of each only the pairs of ``compat_pairs``, and of each pair
+    only the sides it lists, each as w(factor) <suffix, 1> from its
+    (factor, suffix); every other side is zero.  A listed side is never
+    zero.  Each suffix is tested for liveness once per call, and each
+    live one paired with the empty word once.  The sides are valued pair
+    by pair, lhs first, each tail before its weight.  Two sides are
+    compared as ``Fraction``s only where both are listed.  Violations come
+    ordered by g, then f2, then f1.
     """
-    letters = [c for j in range(1, n + 1) for c in (j, -j)]
     holo = [list(itertools.product(range(1, n + 1), repeat=r)) for r in range(max_len + 1)]
     zero, one = Fraction(0), Fraction(1)
-    tails = {}
+    tails, live = {}, {}
 
     def value(closed):
-        # a listed side's value, or None where it is zero
         factor, suffix = closed
-        if factor is None:
-            return None
         tail = tails.get(suffix)
         if tail is None:
             tail = ws.form_words(suffix, ())
             # kept as ``one`` when 1, so that its sides skip a product
             tail = tails[suffix] = one if tail == 1 else tail
-        if not tail:
-            return None
         weight = ws.weight(factor)
         return weight if tail is one else weight * tail
 
     violations = []
-    for g in (w for r in range(max_len + 1) for w in itertools.product(letters, repeat=r)):
-        for f1, f2, (x1, x2, x4) in compat_pairs(g, holo):
+    for g in compat_words(n, max_len):
+        for f1, f2, (x1, x2, x4) in compat_pairs(g, holo, live):
             lhs, rhs1, rhs2 = x1 and value(x1), x2 and value(x2), x4 and value(x4)
             if lhs is not rhs1 and (lhs is None or rhs1 is None or lhs != rhs1):
                 violations.append(CompatibilityViolation(1, f1, f2, g, lhs or zero, rhs1 or zero))

@@ -11,6 +11,7 @@ import pytest
 from freetoeplitz.expr import format_element, format_word
 from freetoeplitz.form import WeightSystem
 from freetoeplitz.freealg import AlgebraElement, Scalar, split_block, swap_alphabet, word_star
+from freetoeplitz.kernel import form_factors
 from freetoeplitz.matrixrep import OperatorMatrix
 from freetoeplitz.projection import partner, project_word
 from freetoeplitz.toeplitz import CompatibilityViolation, ToeplitzOperator, compat_pairs
@@ -176,27 +177,26 @@ def compat_scan(holo, max_len, g):
     Tries the three closed forms on each word f of holo, the holomorphic
     words of length at most max_len; keeps the pairs within max_len with
     len(f1) = len(f2) + balance(g) and sorts them by f2, then f1.  Each
-    pair comes as (f1, f2, mask), where mask sums the sides whose closed
-    form gave it: 1 for <f1, f2 g>, 2 for <f1 g*, f2>, 4 for <f1 f2*, g>.
-    The oracle for ``toeplitz.compat_pairs``.
+    pair comes as (f1, f2, mask), where mask sums the sides that three
+    full pairings show nonzero: 1 for <f1, f2 g>, 2 for <f1 g*, f2>, 4
+    for <f1 f2*, g>; a pair with no nonzero side is dropped.  The oracle
+    for ``toeplitz.compat_pairs``.
     """
     bal = sum(1 if c > 0 else -1 for c in g)
     gs = word_star(g)
-    masks = {}
+    pairs = set()
     for f in holo:
-        candidates = (
-            (partner(f + g), f, 1), (f, partner(f + gs), 2), (f, glue_partner(f, g), 4)
-        )
-        for f1, f2, side in candidates:
+        for f1, f2 in ((partner(f + g), f), (f, partner(f + gs)), (f, glue_partner(f, g))):
             if None not in (f1, f2):
-                masks[f1, f2] = masks.get((f1, f2), 0) | side
-    return sorted(
-        (
-            (f1, f2, mask) for (f1, f2), mask in masks.items()
-            if len(f1) == len(f2) + bal and max(len(f1), len(f2)) <= max_len
-        ),
-        key=lambda t: (len(t[1]), t[1], t[0]),
-    )
+                pairs.add((f1, f2))
+    scanned = []
+    for f1, f2 in pairs:
+        if len(f1) == len(f2) + bal and max(len(f1), len(f2)) <= max_len:
+            sides = ((f1, f2 + g), (f1 + gs, f2), (f1 + word_star(f2), g))
+            mask = sum(bit for bit, side in zip((1, 2, 4), sides) if form_factors(*side) is not None)
+            if mask:
+                scanned.append((f1, f2, mask))
+    return sorted(scanned, key=lambda t: (len(t[1]), t[1], t[0]))
 
 
 def compat_per_pair(n, max_len, ws):

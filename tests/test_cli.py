@@ -288,7 +288,7 @@ def test_out_of_range_flags_exit_2(capsys, argv):
 
 def test_smallest_flag_values_accepted(capsys):
     code, out = run(capsys, "check", "--suite", "symmetry", "--trials", "1", "--max-len", "0")
-    assert (code, out) == (0, "symmetry: 0 violations in 1 trials (seed 0)\n")
+    assert (code, out) == (0, "symmetry: 0 violations in 1 trial (seed 0)\n")
     code, out = run(capsys, "matrix", "--symbol", "t1", "--degree", "0", "--n", "1")
     assert (code, out) == (0, "row,col,re,im\n")
 

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from freetoeplitz.freealg import AlgebraElement, Scalar, theta_word, word_star
+from freetoeplitz.freealg import AlgebraElement, Scalar, split_block, theta_word, word_star
 from freetoeplitz import toeplitz
 from freetoeplitz.form import WeightSystem
-from freetoeplitz.kernel import glue_step
-from freetoeplitz.projection import partner, project_word
+from freetoeplitz.kernel import form_factors, glue_step
+from freetoeplitz.projection import _head, partner, project_word
 from freetoeplitz.toeplitz import (
     CounterexampleValues,
     ToeplitzOperator,
@@ -20,6 +20,7 @@ from freetoeplitz.toeplitz import (
     check_compatibility,
     compat_pairs,
     compat_suite,
+    compat_words,
     creation,
     format_adjoint_violations,
     random_element,
@@ -353,8 +354,8 @@ def test_candidate_checker_matches_enumeration():
 def test_compat_pairs_match_scan():
     # for every g, the pairs listed from g's runs are the pairs that the
     # closed forms give when tried on every holomorphic word, and each
-    # pair lists every side whose closed form gave it: a missing side
-    # would be zeroed without being evaluated
+    # pair lists exactly the sides that full pairings show nonzero: a
+    # missing side would be zeroed without being evaluated
     total = 0
     for n, top in ((1, 8), (2, 5), (3, 4)):
         for max_len in range(top + 1):
@@ -367,16 +368,17 @@ def test_compat_pairs_match_scan():
                 ]
                 assert pairs == compat_scan(flat, max_len, g), (n, max_len, g)
                 total += len(pairs)
-    # 1,439 + 15,321 + 20,059 of them at the largest max_len of each n
-    assert total == 42619
+    # 975 + 7,419 + 10,459 of them at the largest max_len of each n
+    assert total == 23250
 
 
 def test_closed_forms_match_glue_step():
     # each listed side's (factor, suffix) is the kernel's first glue step
-    # on that side's words, which exhausts the one-block word, and factor
-    # is None where that step fails.  A pair's sides do not depend on
-    # max_len, so the largest max_len of each n covers the smaller ones
-    checked = failed = 0
+    # on that side's words, which exhausts the one-block word and holds,
+    # and the suffix is a live tail, so that no listed side is zero.  A
+    # pair's sides do not depend on max_len, so the largest max_len of
+    # each n covers the smaller ones
+    checked = 0
     for n, max_len in ((1, 8), (2, 5), (3, 4)):
         holo = [list(itertools.product(range(1, n + 1), repeat=r)) for r in range(max_len + 1)]
         for g in all_words(n, max_len):
@@ -386,13 +388,67 @@ def test_closed_forms_match_glue_step():
                 for (block, word), x in zip(words, sides):
                     if x is not None:
                         factor, suffix = x
-                        expected = None if factor is None else (factor, (), suffix)
-                        assert glue_step(block, word) == expected, (g, f1, f2, x)
+                        assert glue_step(block, word) == (factor, (), suffix), (g, f1, f2, x)
+                        assert form_factors(suffix, ()) is not None, (g, f1, f2, x)
                         checked += 1
-                        failed += factor is None
-    # not vacuous: every listed side of the 1,439 + 15,321 + 20,059 pairs,
-    # 554 of them zero at the glue step
-    assert (checked, failed) == (2439 + 18281 + 25845, 52 + 76 + 426)
+    # not vacuous: every listed side of the 975 + 7,419 + 10,459 pairs
+    assert checked == 1825 + 10277 + 15987
+
+
+def live_tail(s):
+    """The live-tail rule, read literally.
+
+    S = () or S = k + word_star(k) + S', with k a nonempty run of one
+    letter kind and S' a live tail that is empty or starts with k's kind.
+    """
+    if not s:
+        return True
+    kind = s[0] > 0
+    for a in range(1, len(s) // 2 + 1):
+        k, rest = s[:a], s[2 * a:]
+        if (
+            all((c > 0) == kind for c in k)
+            and s[a:2 * a] == word_star(k)
+            and (not rest or (rest[0] > 0) == kind)
+            and live_tail(rest)
+        ):
+            return True
+    return False
+
+
+def test_live_tail_rule_is_the_kernels():
+    # <S, 1> is nonzero exactly when S is a live tail, on every word
+    counts = []
+    for n, max_len in ((1, 8), (2, 5), (3, 4)):
+        live = 0
+        for s in all_words(n, max_len):
+            assert live_tail(s) == (form_factors(s, ()) is not None), s
+            live += live_tail(s)
+        counts.append(live)
+    assert counts == [31, 21, 43]
+
+
+def test_compat_words_cover_every_live_g():
+    # compat_words lists, in the checker's order and once each, the words
+    # g for which the rest of _head or of split_block of g or of g* is a
+    # live tail; every other word lists no pair
+    sizes = []
+    for n, top in ((1, 8), (2, 5), (3, 4)):
+        for max_len in range(top + 1):
+            holo = [list(itertools.product(range(1, n + 1), repeat=r)) for r in range(max_len + 1)]
+            words = compat_words(n, max_len)
+            everything = list(all_words(n, max_len))
+            assert words == [
+                g for g in everything
+                if any(live_tail(split(x)[2]) for x in (g, word_star(g)) for split in (_head, split_block))
+            ], (n, max_len)
+            listed = set(words)
+            for g in everything:
+                if g not in listed:
+                    assert compat_pairs(g, holo) == [], (n, max_len, g)
+        sizes.append((len(words), len(everything)))
+    # not vacuous: 757 of the 1,365 words at n=2, max_len=5
+    assert sizes == [(219, 511), (757, 1365), (1015, 1555)]
 
 
 def test_checker_matches_per_pair_oracle():
@@ -417,17 +473,22 @@ def test_checker_matches_per_pair_oracle():
 
 
 def test_compat_pairing_calls_pinned(monkeypatch):
-    # at n=2, max_len=5 the 15,321 pairs hold 18,281 listed sides.  The
-    # 1,365 words g list 1,129 families, whose members' sides are read in
-    # closed form, and 338 single pairs, one glue step each; their 57
-    # distinct suffixes are paired with 1 once (three full pairings per
-    # pair would make 45,963 calls)
-    steps, tails, families = [], [], []
+    # at n=2, max_len=5 the 7,419 pairs hold 10,277 listed sides.  The
+    # 757 words g of compat_words list 833 live families, whose members'
+    # sides are read in closed form, and 282 single pairs, one glue step
+    # each.  The 111 distinct suffixes met are tested for liveness once,
+    # and the 13 live ones paired with 1 once (three full pairings per
+    # pair would make 22,257 calls)
+    steps, tests, tails, families = [], [], [], []
     compat_families = toeplitz.compat_families
 
     def counted_step(f, g):
         steps.append(None)
         return glue_step(f, g)
+
+    def counted_test(f, g):
+        tests.append(None)
+        return form_factors(f, g)
 
     form_words = WeightSystem.form_words
 
@@ -435,16 +496,17 @@ def test_compat_pairing_calls_pinned(monkeypatch):
         tails.append(None)
         return form_words(self, f, g)
 
-    def counted_families(g):
-        out = compat_families(g)
+    def counted_families(g, live):
+        out = compat_families(g, live)
         families.extend(out[1])
         return out
 
     monkeypatch.setattr(toeplitz, "glue_step", counted_step)
+    monkeypatch.setattr(toeplitz, "form_factors", counted_test)
     monkeypatch.setattr(toeplitz, "compat_families", counted_families)
     monkeypatch.setattr(WeightSystem, "form_words", counted)
     assert len(check_compatibility(2, 5, WeightSystem.unit(2))) == 8336
-    assert (len(steps), len(tails), len(families)) == (338, 57, 1129)
+    assert (len(steps), len(tests), len(tails), len(families)) == (282, 111, 13, 833)
 
 
 def test_compat_tables_count_every_violation(ws2):
